@@ -3,8 +3,7 @@
 Rigid-body assembly over labeled trees of chains, a graph encoder pretrained
 on assembly correctness, prompt-based conditional link prediction with the
 encoder frozen, meta-learned prompt initialization, and greedy docking-path
-inference with TM-score / RMSD evaluation. Pure numpy core; the geometry hot
-kernels optionally run under numba (see stepasm.kernels).
+inference with TM-score / RMSD evaluation. Pure numpy throughout.
 """
 
 __version__ = "0.1.0"

@@ -8,12 +8,11 @@ hash, data split). Writes are atomic.
 
 import io
 import json
-import os
-import tempfile
 
 import numpy as np
 
 from .errors import ConfigError, ShapeMismatchError
+from .ioutil import atomic_write_bytes
 from .nn.model import GINConfig, GINParams, TaskHeadParams
 from .prompt import PromptParams
 
@@ -31,17 +30,7 @@ def save_checkpoint(path, components, meta=None):
     full_meta.update(meta or {})
     buf = io.BytesIO()
     np.savez(buf, __meta__=np.array(json.dumps(full_meta, sort_keys=True)), **arrays)
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(buf.getvalue())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write_bytes(path, buf.getvalue())
 
 
 def load_checkpoint(path):

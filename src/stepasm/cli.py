@@ -200,7 +200,7 @@ def cmd_enumerate_oracle(args):
     cfg = _load_run_config(args)
     m = _pick_multimer(args.multimers, args.name)
     scored = enumerate_scores(m)
-    edges, score = best_assembly(m)
+    edges, score = best_assembly(m, scored)
     print(f"{m.name}: {len(scored)} trees, best score {score:.6f}, edges {edges}")
     if args.out:
         payload = {

@@ -35,27 +35,7 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
-class StageConfig:
-    lr: float
-    epochs: int = 300
-    batch_size: int = 512
-    patience: int = 20
-    val_fraction: float = 0.1
-    loss: str = "mae"
-
-    def __post_init__(self):
-        self.train_config()  # surface bad rates/counts/loss names at parse time
-
-    def train_config(self):
-        return TrainConfig(
-            lr=self.lr, epochs=self.epochs, batch_size=self.batch_size,
-            patience=self.patience, val_fraction=self.val_fraction,
-            loss=self.loss,
-        )
-
-
-@dataclass(frozen=True)
-class PromptStageConfig(StageConfig):
+class PromptStageConfig(TrainConfig):
     lr: float = 0.001
     # cross-entropy keeps saturated-wrong probabilities trainable; an absolute
     # error goes silent there because its gradient carries the sigmoid slope
@@ -84,13 +64,13 @@ class RunConfig:
     seed: int = 0
     data: DataConfig = field(default_factory=DataConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
-    pretrain: StageConfig = field(default_factory=lambda: StageConfig(lr=0.01))
+    pretrain: TrainConfig = field(default_factory=lambda: TrainConfig(lr=0.01))
     prompt: PromptStageConfig = field(default_factory=PromptStageConfig)
     meta: MetaStageConfig = field(default_factory=MetaStageConfig)
 
     def pretrain_config(self):
         return PretrainConfig(
-            train=self.pretrain.train_config(),
+            train=self.pretrain,
             hidden_dim=self.model.hidden_dim,
             head_hidden=self.model.head_hidden,
             num_layers=self.model.num_layers,
@@ -100,7 +80,7 @@ class RunConfig:
 
     def prompt_config(self):
         return PromptTuneConfig(
-            train=self.prompt.train_config(),
+            train=self.prompt,
             mlp_hidden=self.prompt.mlp_hidden,
             heads=self.prompt.heads,
             multi_head=self.prompt.multi_head,
@@ -109,19 +89,7 @@ class RunConfig:
         )
 
     def meta_config(self):
-        return MetaConfig(
-            inner_lr=self.meta.inner_lr,
-            outer_lr=self.meta.outer_lr,
-            task_batch=self.meta.task_batch,
-            support_size=self.meta.support_size,
-            query_size=self.meta.query_size,
-            inner_steps=self.meta.inner_steps,
-            first_order=self.meta.first_order,
-            epochs=self.meta.epochs,
-            pool_size=self.meta.pool_size,
-            adapt_steps=self.meta.adapt_steps,
-            seed=self.seed,
-        )
+        return MetaConfig(**dataclasses.asdict(self.meta), seed=self.seed)
 
 
 def _from_dict(cls, data, path):
@@ -135,7 +103,7 @@ def _from_dict(cls, data, path):
             f"allowed: {sorted(known)}"
         )
     nested = {
-        "data": DataConfig, "model": ModelConfig, "pretrain": StageConfig,
+        "data": DataConfig, "model": ModelConfig, "pretrain": TrainConfig,
         "prompt": PromptStageConfig, "meta": MetaStageConfig,
     }
     kwargs = {}

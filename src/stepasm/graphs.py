@@ -26,6 +26,8 @@ from .errors import (
 from .geometry import as_coords, kabsch_align, tm_score
 
 ENUMERATION_LIMIT = 8
+# Largest complex the exhaustive oracle scores (6^4 = 1 296 trees).
+SCORING_LIMIT = 6
 
 
 def canonical_edges(edges):
@@ -389,11 +391,11 @@ def assembly_correctness(graph, multimer):
     return tm_score(pred, gt)
 
 
-def enumerate_scores(multimer, limit=6):
-    """(edges, correctness) for every labeled tree over all chains. N <= limit."""
-    if multimer.n > limit:
+def enumerate_scores(multimer):
+    """(edges, correctness) for every labeled tree over all N <= SCORING_LIMIT chains."""
+    if multimer.n > SCORING_LIMIT:
         raise TreeTooLargeError(
-            f"exhaustive scoring limited to {limit} chains, got {multimer.n}"
+            f"exhaustive scoring limited to {SCORING_LIMIT} chains, got {multimer.n}"
         )
     out = []
     for edges in enumerate_uca(multimer.n):
@@ -402,9 +404,13 @@ def enumerate_scores(multimer, limit=6):
     return out
 
 
-def best_assembly(multimer, limit=6):
-    """Highest-correctness tree; ties broken by lowest lexicographic edge list."""
-    scored = enumerate_scores(multimer, limit)
+def best_assembly(multimer, scored=None):
+    """Highest-correctness tree; ties broken by lowest lexicographic edge list.
+
+    ``scored`` is ``enumerate_scores(multimer)``, enumerated here when not given.
+    """
+    if scored is None:
+        scored = enumerate_scores(multimer)
     best_edges, best_score = scored[0]
     for edges, score in scored[1:]:
         if score > best_score or (score == best_score and edges < best_edges):

@@ -1,28 +1,22 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""The two hot numeric kernels: rigid superposition (Kabsch) and the fused
+superpose-and-score step.
 
-The two kernels that dominate dataset labelling and exhaustive oracle runs are
-rigid superposition (Kabsch) and the fused superpose-and-score step. Both are
-implemented once in numba-compatible numpy and compiled with ``@njit`` when
-numba is available. Everything else in the package calls them through the
-dispatch table below; the two paths agree to floating-point rounding (the
-compiled reductions may differ from numpy's in the last bits).
-
-Backend selection order:
-
-* ``STEPASM_BACKEND=numpy`` forces the fallback path,
-* ``STEPASM_BACKEND=numba`` requires numba (warns and falls back if missing),
-* unset / ``auto``: numba when importable, numpy otherwise.
-
-``set_backend()`` switches at runtime (used by tests and the benchmark).
+They dominate dataset labelling and exhaustive oracle runs. ``geometry`` wraps
+them with input validation and the rank check; everything else in the package
+goes through ``geometry``.
 """
-
-import os
-import warnings
 
 import numpy as np
 
+# Read by the benchmark's environment record; nothing sets them.
+HAVE_NUMBA = False
 
-def _kabsch_core(reference, mobile):
+
+def active_backend():
+    return "numpy"
+
+
+def kabsch_transform(reference, mobile):
     """Least-squares rigid transform mapping ``mobile`` onto ``reference``.
 
     Returns (rotation, translation, singular_values). The singular values of
@@ -46,82 +40,15 @@ def _kabsch_core(reference, mobile):
     return rotation, translation, svals
 
 
-def _make_superpose_metrics(kabsch):
-    """Build the fused superpose-and-score kernel over a given kabsch impl.
-
-    Fused because assembly labelling evaluates it once per candidate graph;
-    the factory lets the numba build close over the jitted kabsch.
-    """
-
-    def _superpose_metrics_core(pred, gt, d0):
-        rotation, translation, _ = kabsch(gt, pred)
-        moved = pred @ rotation.T + translation
-        diff = moved - gt
-        sq = np.sum(diff * diff, axis=1)
-        tm = np.mean(1.0 / (1.0 + sq / (d0 * d0)))
-        rmsd = np.sqrt(np.mean(sq))
-        return tm, rmsd
-
-    return _superpose_metrics_core
-
-
-_NUMPY_IMPLS = {
-    "kabsch": _kabsch_core,
-    "superpose_metrics": _make_superpose_metrics(_kabsch_core),
-}
-
-try:
-    from numba import njit
-
-    _kabsch_jit = njit(cache=True)(_kabsch_core)
-    _NUMBA_IMPLS = {
-        "kabsch": _kabsch_jit,
-        "superpose_metrics": njit(cache=True)(_make_superpose_metrics(_kabsch_jit)),
-    }
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    _NUMBA_IMPLS = None
-    HAVE_NUMBA = False
-
-_active_name = None
-_active = dict(_NUMPY_IMPLS)
-
-
-def available_backends():
-    return ("numba", "numpy") if HAVE_NUMBA else ("numpy",)
-
-
-def set_backend(name):
-    """Select the kernel backend: 'numba', 'numpy', or 'auto'."""
-    global _active_name, _active
-    if name in (None, "", "auto"):
-        name = "numba" if HAVE_NUMBA else "numpy"
-    if name == "numba" and not HAVE_NUMBA:
-        warnings.warn("numba unavailable; falling back to numpy kernels")
-        name = "numpy"
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown kernel backend {name!r}")
-    _active_name = name
-    _active = dict(_NUMBA_IMPLS) if name == "numba" else dict(_NUMPY_IMPLS)
-
-
-def active_backend():
-    return _active_name
-
-
-def warmup():
-    """Trigger JIT compilation (or cache load) of the active backend."""
-    pts = np.zeros((3, 3)) + np.eye(3)
-    _active["kabsch"](pts, pts)
-    _active["superpose_metrics"](pts, pts, 1.0)
-
-
-def kabsch_transform(reference, mobile):
-    return _active["kabsch"](reference, mobile)
-
-
 def superpose_metrics(pred, gt, d0):
-    return _active["superpose_metrics"](pred, gt, d0)
+    """(TM with distance scale d0, RMSD) after superposing ``pred`` onto ``gt``.
 
-
-set_backend(os.environ.get("STEPASM_BACKEND", "auto"))
+    Fused because assembly labelling evaluates it once per candidate graph.
+    """
+    rotation, translation, _ = kabsch_transform(gt, pred)
+    moved = pred @ rotation.T + translation
+    diff = moved - gt
+    sq = np.sum(diff * diff, axis=1)
+    tm = np.mean(1.0 / (1.0 + sq / (d0 * d0)))
+    rmsd = np.sqrt(np.mean(sq))
+    return tm, rmsd

@@ -10,7 +10,6 @@ import time
 import numpy as np
 import pytest
 
-from stepasm import kernels
 from stepasm.datagen import (
     gen_multimer_set,
     gen_synthetic_multimer,
@@ -92,13 +91,6 @@ CKA_INDEP_MAX = 0.2
 CKA_ROWS = 2000
 
 DIM = 13
-
-
-@pytest.fixture(scope="session", autouse=True)
-def compiled_kernels():
-    # one-time jit compilation is a machine artifact, not algorithm runtime;
-    # pull it out of every timed budget below
-    kernels.warmup()
 
 
 def test_criterion_geometry_suite():

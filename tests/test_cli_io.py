@@ -233,6 +233,21 @@ def test_config_hash_stable_under_key_order(tmp_path):
     assert config_hash(a) != config_hash(RunConfig())
 
 
+def test_config_hash_pinned():
+    # artifacts written by earlier versions carry these hashes; a change to the
+    # config schema's keys, defaults or nesting breaks them
+    assert config_hash(RunConfig()) == (
+        "35a3d069c02808789478a5a24c7d9ae08efe2ad3036197bf8227088b61e24a58")
+    custom = config_from_dict({
+        "seed": 3,
+        "pretrain": {"lr": 0.005, "epochs": 50, "loss": "bce"},
+        "prompt": {"lr": 0.002, "batch_size": 64, "mlp_hidden": 256, "multi_head": True},
+        "meta": {"inner_lr": 0.02, "first_order": False, "adapt_steps": 3},
+    })
+    assert config_hash(custom) == (
+        "6f5297dc1f3eb82a80841379049326e71b71cc1a89af47dde87123cb3c4dd08e")
+
+
 def test_load_config_rejects_invalid_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
