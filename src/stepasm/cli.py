@@ -177,6 +177,8 @@ def cmd_infer(args):
         "actions": [list(a) for a in path.actions],
         "probs": list(path.probs),
         "per_step_evals": list(path.per_step_evals),
+        "margins": list(path.margins),
+        "fallbacks": path.fallbacks,
     })
     print(f"{m.name}: {len(path.actions)} actions -> {args.out}.path.txt")
 

@@ -6,6 +6,13 @@ docked, scores all k(N-k) docked/undocked pairs against the current partial
 assembly and appends the argmax action. While the assembly (after the action)
 still has at most 7 chains the meta-initialized prompt scores the candidates;
 beyond that the large-scale-adapted prompt takes over.
+
+Per step, only stage 2 (the 4-node prompt path and the head) runs once per
+candidate pair. The condition graph and the undocked chains are encoded once,
+k + (N-k) rows, and in single-head mode the prompt MLP also runs on those
+k + (N-k) distinct rows only. The first step is one scoring call: its
+condition is the edgeless graph over all N chains, in which each chain
+encodes exactly as in its singleton {d}.
 """
 
 import logging
@@ -15,6 +22,7 @@ import numpy as np
 
 from .errors import (
     LengthMismatchError,
+    MalformedRecordError,
     MissingDimerError,
     ShapeMismatchError,
     UntrainedPipelineError,
@@ -22,7 +30,9 @@ from .errors import (
 )
 from .geometry import superposed_scores
 from .graphs import AssemblyGraph, canonical_edges, place_chains
-from .prompt import PromptItem, pipeline_forward_batch
+from .prompt import score_candidates
+# not called here; kept because perfbench/spans.py patches this name
+from .prompt import pipeline_forward_batch  # noqa: F401
 
 logger = logging.getLogger("stepasm")
 
@@ -31,11 +41,19 @@ SMALL_ASSEMBLY_MAX = 7  # largest post-action size still scored by the meta prom
 
 @dataclass(frozen=True)
 class DockingPath:
-    """Ordered assembly actions with their linking probabilities."""
+    """Ordered assembly actions with their linking probabilities.
+
+    ``margins`` holds, per step, the chosen probability minus the best
+    candidate on a different unordered chain pair (None when there is no
+    such candidate); ``fallbacks`` counts the steps whose preferred pair had
+    no stored dimer.
+    """
 
     actions: tuple  # ((v_d, v_u), ...) in execution order
     probs: tuple
     per_step_evals: tuple = ()
+    margins: tuple = ()
+    fallbacks: int = 0
 
     def __post_init__(self):
         if len(self.actions) != len(self.probs):
@@ -61,13 +79,28 @@ class DockingPath:
     @classmethod
     def from_text(cls, text):
         actions, probs = [], []
-        for line in text.splitlines():
+        for number, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            _, d, u, p = line.split("\t")
-            actions.append((int(d), int(u)))
-            probs.append(float(p))
+            fields = line.split("\t")
+            if len(fields) != 4:
+                raise MalformedRecordError(
+                    f"expected 4 tab-separated fields, got {len(fields)}", number)
+            try:
+                action = (int(fields[1]), int(fields[2]))
+            except ValueError:
+                raise MalformedRecordError(
+                    f"chain indices must be integers, got {fields[1:3]!r}", number
+                ) from None
+            try:
+                prob = float(fields[3])
+            except ValueError:
+                raise MalformedRecordError(
+                    f"probability must be a number, got {fields[3]!r}", number
+                ) from None
+            actions.append(action)
+            probs.append(prob)
         return cls(tuple(actions), tuple(probs))
 
 
@@ -84,40 +117,35 @@ class ScoringPipeline:
 
     def score_actions(self, chain_features, cond_nodes, cond_edges, pairs):
         """Probabilities for candidate (v_d, v_u) actions under one condition graph."""
-        nodes = tuple(sorted(cond_nodes))
-        feats = chain_features[list(nodes)]
-        pos = {v: i for i, v in enumerate(nodes)}
-        local = tuple((pos[a], pos[b]) for a, b in cond_edges)
-        items = [
-            PromptItem(
-                cond_features=feats,
-                cond_edges=local,
-                d_local=pos[d],
-                u_feature=chain_features[u],
-                y=0.0,
-                multimer="",
-                n=chain_features.shape[0],
-            )
-            for d, u in pairs
-        ]
-        out = pipeline_forward_batch(items, self.gin, self.head, self.prompt)
+        out = score_candidates(chain_features, cond_nodes, cond_edges, pairs,
+                               self.gin, self.head, self.prompt)
         self.eval_count += len(pairs)
-        return out.data.ravel()
+        return out
 
 
 def _pick(pairs, scores, dimers):
-    """Argmax with (prob desc, v_d asc, v_u asc) order; skips missing dimers."""
+    """Argmax with (prob desc, v_d asc, v_u asc) order; skips missing dimers.
+
+    Returns (pair, prob, margin, fell_back): margin is prob minus the best
+    score on a different unordered pair (None if there is none), fell_back
+    whether a missing dimer was skipped.
+    """
     order = sorted(range(len(pairs)), key=lambda i: (-scores[i], pairs[i]))
     for i in order:
         d, u = pairs[i]
         if dimers is None or dimers.has(d, u):
-            if i != order[0]:
-                logger.warning(
-                    "dimer missing for preferred pair %s; using (%d, %d) instead",
-                    pairs[order[0]], d, u,
-                )
-            return pairs[i], float(scores[i])
-    raise MissingDimerError("no candidate action has a stored dimer")
+            break
+    else:
+        raise MissingDimerError("no candidate action has a stored dimer")
+    fell_back = i != order[0]
+    if fell_back:
+        logger.warning(
+            "dimer missing for preferred pair %s; using (%d, %d) instead",
+            pairs[order[0]], d, u,
+        )
+    rival = next((scores[j] for j in order if {*pairs[j]} != {d, u}), None)
+    margin = None if rival is None else float(scores[i] - rival)
+    return (d, u), float(scores[i]), margin, fell_back
 
 
 def infer_path(chain_features, small_pipeline, large_pipeline=None, dimers=None):
@@ -135,7 +163,8 @@ def infer_path(chain_features, small_pipeline, large_pipeline=None, dimers=None)
         raise UntrainedPipelineError(
             f"assemblies beyond {SMALL_ASSEMBLY_MAX} chains need the adapted prompt"
         )
-    actions, probs, evals = [], [], []
+    actions, probs, evals, margins = [], [], [], []
+    fallbacks = 0
     docked = []
     edges = []
     while len(actions) < n - 1:
@@ -143,26 +172,30 @@ def infer_path(chain_features, small_pipeline, large_pipeline=None, dimers=None)
         pipe = small_pipeline if post_size <= SMALL_ASSEMBLY_MAX else large_pipeline
         before = pipe.eval_count
         if not docked:
-            # first action: every ordered pair under a singleton condition {d}
-            pairs, scores = [], []
-            for d in range(n):
-                cand = [(d, u) for u in range(n) if u != d]
-                s = pipe.score_actions(chain_features, (d,), (), cand)
-                pairs.extend(cand)
-                scores.extend(s.tolist())
-            (d, u), p = _pick(pairs, np.array(scores), dimers)
+            # first action: every ordered pair (d, u) under its singleton {d}; the
+            # edgeless graph over all chains encodes each chain as its singleton
+            pairs = [(d, u) for d in range(n) for u in range(n) if u != d]
+            scores = pipe.score_actions(chain_features, tuple(range(n)), (), pairs)
+            # (d, u) and (u, d) score the same 4-node path reversed, equal up to
+            # rounding; scoring both the same lets the tie-break pick (min, max)
+            index = {pair: i for i, pair in enumerate(pairs)}
+            scores = np.maximum(scores, scores[[index[u, d] for d, u in pairs]])
+            (d, u), p, margin, fell_back = _pick(pairs, scores, dimers)
             docked = [d, u] if d < u else [u, d]
         else:
             undocked = [u for u in range(n) if u not in docked]
             pairs = [(d, u) for d in sorted(docked) for u in undocked]
             scores = pipe.score_actions(chain_features, tuple(docked), tuple(edges), pairs)
-            (d, u), p = _pick(pairs, scores, dimers)
+            (d, u), p, margin, fell_back = _pick(pairs, scores, dimers)
             docked = sorted(docked + [u])
         edges.append((d, u) if d < u else (u, d))
         actions.append((d, u))
         probs.append(p)
         evals.append(pipe.eval_count - before)
-    return DockingPath(tuple(actions), tuple(probs), tuple(evals))
+        margins.append(margin)
+        fallbacks += fell_back
+    return DockingPath(tuple(actions), tuple(probs), tuple(evals), tuple(margins),
+                       fallbacks)
 
 
 def expected_step_evals(n):

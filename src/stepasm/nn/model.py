@@ -180,10 +180,11 @@ class TaskHeadParams:
 
 def _directed_edges(edges):
     """Both directions of each undirected edge, sorted by (dst, src)."""
-    pairs = sorted((d, s) for a, b in edges for s, d in ((a, b), (b, a)))
-    dst = np.array([p[0] for p in pairs], dtype=np.intp)
-    src = np.array([p[1] for p in pairs], dtype=np.intp)
-    return src, dst
+    ends = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+    src = np.concatenate([ends[:, 0], ends[:, 1]])
+    dst = np.concatenate([ends[:, 1], ends[:, 0]])
+    order = np.lexsort((src, dst))
+    return src[order], dst[order]
 
 
 def gin_encode(features, edges, gin, *, training=False, rng=None):

@@ -298,8 +298,16 @@ def pipeline_forward_batch(items, gin, head, prompt, *, training=False, rng=None
     """
     h_d, h_u = query_embeddings(items, gin, training=training, rng=rng)
     h_x, h_y = prompt_embeddings(h_d, h_u, prompt, training=training, rng=rng)
+    return score_paths(h_d, h_x, h_y, h_u, gin, head, training=training, rng=rng)
 
-    b = len(items)
+
+def score_paths(h_d, h_x, h_y, h_u, gin, head, *, training=False, rng=None):
+    """Stage 2: (B, 1) probabilities of B prompt paths d - x - y - u.
+
+    Each argument holds one row per path; all B paths go through the encoder
+    as one disjoint union and are sum-pooled per path before the head.
+    """
+    b = h_d.data.shape[0]
     path_feats = concat_rows([h_d, h_x, h_y, h_u])  # rows grouped by role
     path_edges = []
     for i in range(b):
@@ -309,6 +317,34 @@ def pipeline_forward_batch(items, gin, head, prompt, *, training=False, rng=None
     h2 = gin_encode(path_feats, path_edges, gin, training=training, rng=rng)
     pooled = segment_sum(h2, seg, b)
     return head.score(pooled, training=training, rng=rng, drop=gin.config.dropout)
+
+
+def score_candidates(chain_features, cond_nodes, cond_edges, pairs, gin, head, prompt):
+    """Eval-mode probabilities of (v_d, v_u) actions under one condition graph.
+
+    Equal to ``pipeline_forward`` per pair up to rounding, at a cost of one
+    encoder row per condition node and per distinct candidate: each v_u is an
+    isolated chain, so one encoder pass over the condition graph plus the
+    candidates gives every h_d and h_u. In single-head mode h_x = T(h_u) and
+    h_y = T(h_d), so the prompt MLP T also runs once per distinct row; only
+    stage 2 runs per pair.
+    """
+    nodes = sorted(cond_nodes)
+    cands = sorted({u for _, u in pairs})
+    pos = {v: i for i, v in enumerate(nodes)}
+    pos_u = {u: len(nodes) + j for j, u in enumerate(cands)}
+    local = [(pos[a], pos[b]) for a, b in cond_edges]
+    h = gin_encode(chain_features[nodes + cands], local, gin)
+    d_rows = [pos[d] for d, _ in pairs]
+    u_rows = [pos_u[u] for _, u in pairs]
+    h_d, h_u = gather_rows(h, d_rows), gather_rows(h, u_rows)
+    if prompt.multi_head:
+        # the attention weights depend on the pair, so the MLP input does too
+        h_x, h_y = prompt_embeddings(h_d, h_u, prompt)
+    else:
+        t = prompt.transform(h)
+        h_x, h_y = gather_rows(t, u_rows), gather_rows(t, d_rows)
+    return score_paths(h_d, h_x, h_y, h_u, gin, head).data.ravel()
 
 
 def pipeline_forward(cond_graph, v_d, v_u, u_feature, gin, head, prompt):

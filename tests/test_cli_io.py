@@ -127,6 +127,10 @@ def test_infer_writes_path_structure_and_report(workflow, tmp_path):
         report = json.load(fh)
     assert report["multimer"] == name
     assert len(report["actions"]) == 3
+    # how sure each step was: one margin per action, no dimer was missing
+    assert len(report["margins"]) == 3
+    assert all(isinstance(x, float) for x in report["margins"])
+    assert report["fallbacks"] == 0
     path_text = open(str(out) + ".path.txt").read()
     assert path_text.count("\n") == 4  # header + one line per action
     chains = parse_chain_coords(str(out) + ".structure.txt")

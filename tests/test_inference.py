@@ -8,12 +8,13 @@ import pytest
 from stepasm.datagen import gen_synthetic_multimer
 from stepasm.errors import (
     LengthMismatchError,
+    MalformedRecordError,
     MissingDimerError,
     ShapeMismatchError,
     UntrainedPipelineError,
     ZeroVarianceError,
 )
-from stepasm.graphs import DimerLibrary
+from stepasm.graphs import AssemblyGraph, DimerLibrary
 from stepasm.inference import (
     SMALL_ASSEMBLY_MAX,
     DockingPath,
@@ -26,16 +27,22 @@ from stepasm.inference import (
     predict_structure,
 )
 from stepasm.nn.model import GINConfig, GINParams, TaskHeadParams
-from stepasm.prompt import PromptParams
+from stepasm.prompt import PromptParams, pipeline_forward
 
 DIM = 13
 
 
-def untrained_pipeline(seed=70):
+def untrained_pipeline(seed=70, **prompt_kw):
     gin = GINParams.init(GINConfig(dropout=0.0), seed)
     head = TaskHeadParams.init(DIM, 8, seed + 1)
-    prompt = PromptParams.init(DIM, 8, seed + 2, dropout=0.0)
+    prompt = PromptParams.init(DIM, 8, seed + 2, dropout=0.0, **prompt_kw)
     return ScoringPipeline(gin, head, prompt)
+
+
+def reference_prob(pipe, feats, nodes, edges, d, u):
+    """One action scored alone through the single-item pipeline_forward."""
+    cond = AssemblyGraph(nodes, edges, feats[sorted(nodes)])
+    return pipeline_forward(cond, d, u, feats[u], pipe.gin, pipe.head, pipe.prompt)
 
 
 class TablePipeline:
@@ -50,11 +57,16 @@ class TablePipeline:
         return np.array([self.table[p] for p in pairs])
 
 
+def first_step_score(table, d, u):
+    """Both orientations of a first action score as the better of the two."""
+    return max(table[d, u], table[u, d])
+
+
 def greedy_reference(n, table):
     """Re-derive the greedy choice sequence straight from the score table."""
     best = max(
         ((d, u) for d in range(n) for u in range(n) if d != u),
-        key=lambda p: (table[p], [-p[0], -p[1]]),
+        key=lambda p: (first_step_score(table, *p), [-p[0], -p[1]]),
     )
     docked = sorted(best)
     actions = [best]
@@ -86,6 +98,20 @@ def test_docking_path_text_roundtrip():
     assert back.probs == path.probs
 
 
+@pytest.mark.parametrize("line", [
+    "2\t0\t1",            # a field short
+    "2\t0\t1\t0.5\t7",    # a field too many
+    "2\tA\t1\t0.5",        # chain label not an integer
+    "2\t0\t1\thigh",       # probability not a number
+], ids=["short", "long", "chain", "prob"])
+def test_docking_path_from_text_rejects_malformed_lines(line):
+    text = "# docking path: 3 chains, 2 actions\n1\t0\t2\t0.75\n" + line + "\n"
+    with pytest.raises(MalformedRecordError) as info:
+        DockingPath.from_text(text)
+    assert info.value.line_number == 3
+    assert str(info.value).startswith("line 3: ")
+
+
 @pytest.mark.parametrize("n", [5, 10, 20, 30])
 def test_per_step_eval_counts_match_closed_form(n):
     expect = expected_step_evals(n)
@@ -113,6 +139,110 @@ def test_real_pipeline_reports_same_counts():
     assert pipe.eval_count == sum(expected_step_evals(n))
 
 
+@pytest.mark.parametrize("prompt_kw", [{}, {"multi_head": True, "heads": 4}],
+                         ids=["single-head", "multi-head"])
+@pytest.mark.parametrize("condition", ["singleton", "first-step", "tree"])
+def test_score_actions_match_single_item_pipeline(prompt_kw, condition):
+    n = 8
+    pipe = untrained_pipeline(**prompt_kw)
+    feats = np.random.default_rng(80).uniform(0.0, 0.6, size=(n, DIM))
+    if condition == "singleton":
+        nodes, edges = (3,), ()
+        pairs = [(3, u) for u in range(n) if u != 3]
+    elif condition == "first-step":
+        # infer_path's first call: every ordered pair, the edgeless condition
+        # over all chains standing in for each pair's singleton {d}
+        nodes, edges = tuple(range(n)), ()
+        pairs = [(d, u) for d in range(n) for u in range(n) if u != d]
+    else:
+        nodes, edges = (0, 2, 3, 5, 6), ((0, 3), (2, 3), (3, 6), (5, 6))
+        pairs = [(d, u) for d in nodes for u in range(n) if u not in nodes]
+    scores = pipe.score_actions(feats, nodes, edges, pairs)
+    assert scores.shape == (len(pairs),)
+    assert pipe.eval_count == len(pairs)
+    for (d, u), p in zip(pairs, scores):
+        ref_nodes, ref_edges = ((d,), ()) if condition == "first-step" else (nodes, edges)
+        ref = reference_prob(pipe, feats, ref_nodes, ref_edges, d, u)
+        assert abs(p - ref) <= 1e-12
+
+
+def reference_infer_path(feats, small, large):
+    """Greedy path straight from pipeline_forward, one action at a time."""
+    n = feats.shape[0]
+    first = {(d, u): reference_prob(small, feats, (d,), (), d, u)
+             for d in range(n) for u in range(n) if u != d}
+    best = min(first, key=lambda p: (-max(first[p], first[p[::-1]]), p))
+    actions, docked, edges = [best], sorted(best), [tuple(sorted(best))]
+    while len(docked) < n:
+        pipe = small if len(docked) + 1 <= SMALL_ASSEMBLY_MAX else large
+        scores = {(d, u): reference_prob(pipe, feats, tuple(docked), tuple(edges), d, u)
+                  for d in docked for u in range(n) if u not in docked}
+        d, u = min(scores, key=lambda p: (-scores[p], p))
+        actions.append((d, u))
+        docked = sorted(docked + [u])
+        edges.append((min(d, u), max(d, u)))
+    return actions
+
+
+def test_infer_path_matches_single_item_reference_across_the_switch():
+    n = SMALL_ASSEMBLY_MAX + 2  # steps to sizes 8 and 9 use the large prompt
+    small = untrained_pipeline()
+    large = ScoringPipeline(small.gin, small.head,
+                            PromptParams.init(DIM, 8, 90, dropout=0.0))
+    feats = np.random.default_rng(81).uniform(0.0, 0.6, size=(n, DIM))
+    path = infer_path(feats, small, large_pipeline=large)
+    assert list(path.actions) == reference_infer_path(feats, small, large)
+    assert path.per_step_evals == expected_step_evals(n)
+    docked, edges = [], []
+    for step, ((d, u), p) in enumerate(zip(path.actions, path.probs)):
+        pipe = small if step < SMALL_ASSEMBLY_MAX - 1 else large
+        nodes = tuple(docked) if docked else (d,)
+        assert abs(p - reference_prob(pipe, feats, nodes, tuple(edges), d, u)) <= 1e-12
+        docked = sorted(set(docked) | {d, u})
+        edges.append((min(d, u), max(d, u)))
+
+
+def test_first_action_lists_the_smaller_chain_first():
+    # p(d, u) and p(u, d) under singleton conditions score one 4-node path
+    # and its reverse, so the (prob desc, v_d asc) tie-break must pick
+    # (min, max); at feature draw 143 rounding alone scores (max, min) higher
+    pipe = untrained_pipeline()
+    for seed in range(100, 150):
+        feats = np.random.default_rng(seed).uniform(0.0, 0.6, size=(6, DIM))
+        d, u = infer_path(feats, pipe).actions[0]
+        assert d < u, seed
+
+
+def test_margins_and_fallbacks_report_how_sure_each_step_was():
+    table = {
+        (0, 1): 0.6, (1, 0): 0.9, (2, 3): 0.5, (3, 2): 0.4,
+        (0, 2): 0.3, (2, 0): 0.3, (0, 3): 0.2, (3, 0): 0.2,
+        (1, 2): 0.7, (2, 1): 0.1, (1, 3): 0.1, (3, 1): 0.1,
+    }
+    path = infer_path(np.zeros((4, DIM)), TablePipeline(table))
+    # first step: both orientations of {0, 1} score 0.9, the best other pair
+    # {1, 2} scores 0.7; then 0.7 vs (0, 2) and 0.5 vs (0, 3)
+    assert path.actions == ((0, 1), (1, 2), (2, 3))
+    assert path.probs == (0.9, 0.7, 0.5)
+    assert path.margins == pytest.approx((0.2, 0.4, 0.3))
+    assert path.fallbacks == 0
+
+    dimers = DimerLibrary()
+    coords = np.random.default_rng(82).random((60, 3))
+    for a, b in itertools.combinations(range(4), 2):
+        if (a, b) != (1, 2):
+            dimers.add(a, b, coords, coords + 1.0)
+    path = infer_path(np.zeros((4, DIM)), TablePipeline(table), dimers=dimers)
+    # step two must skip (1, 2) and settle for (0, 2), 0.4 below it
+    assert path.actions == ((0, 1), (0, 2), (2, 3))
+    assert path.margins == pytest.approx((0.2, -0.4, 0.3))
+    assert path.fallbacks == 1
+
+    two = infer_path(np.zeros((2, DIM)), TablePipeline({(0, 1): 0.4, (1, 0): 0.3}))
+    assert two.actions == ((0, 1),) and two.probs == (0.4,)
+    assert two.margins == (None,)  # no other pair to compare with
+
+
 def test_greedy_choices_match_brute_force_reference():
     n = 7
     rng = np.random.default_rng(72)
@@ -125,7 +255,8 @@ def test_greedy_choices_match_brute_force_reference():
     pipe = TablePipeline(table)
     path = infer_path(np.zeros((n, DIM)), pipe)
     assert list(path.actions) == greedy_reference(n, table)
-    for (d, u), p in zip(path.actions, path.probs):
+    assert path.probs[0] == first_step_score(table, *path.actions[0])
+    for (d, u), p in zip(path.actions[1:], path.probs[1:]):
         assert p == pytest.approx(table[(d, u)])
 
 

@@ -8,6 +8,7 @@ from stepasm.nn.model import (
     GINConfig,
     GINParams,
     TaskHeadParams,
+    _directed_edges,
     flatten_named,
     grad_vector,
     gin_encode,
@@ -185,6 +186,20 @@ def test_readout_permutation_invariant():
         assert readout_regress(pfeats, pedges, gin, head) == pytest.approx(
             base, abs=1e-9
         )
+
+
+def test_directed_edges_match_the_sorted_tuple_reference():
+    # neighbor_sum accumulates in this order, so it must be exactly the
+    # (dst, src) order of Python's tuple sort, duplicates and self-loops too
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        n = int(rng.integers(2, 30))
+        edges = [tuple(int(v) for v in rng.integers(0, n, 2))
+                 for _ in range(int(rng.integers(1, 40)))]
+        pairs = sorted((d, s) for a, b in edges for s, d in ((a, b), (b, a)))
+        src, dst = _directed_edges(edges)
+        assert src.tolist() == [s for _, s in pairs]
+        assert dst.tolist() == [d for d, _ in pairs]
 
 
 def test_isolated_nodes_get_self_only_update():
