@@ -8,6 +8,8 @@ hash, data split). Writes are atomic.
 
 import io
 import json
+import zipfile
+from dataclasses import asdict
 
 import numpy as np
 
@@ -33,20 +35,27 @@ def save_checkpoint(path, components, meta=None):
     atomic_write_bytes(path, buf.getvalue())
 
 
+# what reading a file that is not a save_checkpoint archive raises
+_UNREADABLE = (ValueError, KeyError, TypeError, AttributeError, EOFError,
+               zipfile.BadZipFile)
+
+
 def load_checkpoint(path):
     """Returns ({tag: {param_name: ndarray}}, meta dict)."""
-    with np.load(path, allow_pickle=False) as npz:
-        meta = json.loads(str(npz["__meta__"][()]))
-        components = {}
-        for key in npz.files:
-            if key == "__meta__":
-                continue
-            tag, name = key.split("/", 1)
-            components.setdefault(tag, {})[name] = np.array(npz[key])
-    if meta.get("format_version") != FORMAT_VERSION:
-        raise ConfigError(
-            f"checkpoint format {meta.get('format_version')!r} not supported"
-        )
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            meta = json.loads(str(npz["__meta__"][()]))
+            components = {}
+            for key in npz.files:
+                if key == "__meta__":
+                    continue
+                tag, name = key.split("/", 1)
+                components.setdefault(tag, {})[name] = np.array(npz[key])
+        version = meta.get("format_version")
+    except _UNREADABLE as exc:
+        raise ConfigError(f"{path}: not a checkpoint ({type(exc).__name__}: {exc})") from None
+    if version != FORMAT_VERSION:
+        raise ConfigError(f"checkpoint format {version!r} not supported")
     return components, meta
 
 
@@ -66,12 +75,7 @@ def save_models(path, gin, head, prompts=None, meta=None):
     """Persist encoder + head and any prompts, tagged by role."""
     components = {"gin": gin.named(), "head": head.named()}
     arch = {
-        "gin_config": {
-            "input_dim": gin.config.input_dim,
-            "hidden_dim": gin.config.hidden_dim,
-            "num_layers": gin.config.num_layers,
-            "dropout": gin.config.dropout,
-        },
+        "gin_config": asdict(gin.config),
         "head_hidden": head.mlp.dims[1],
         "prompts": {},
     }
@@ -91,18 +95,22 @@ def save_models(path, gin, head, prompts=None, meta=None):
 def load_models(path):
     """Rebuild (gin, head, prompts, meta) from a save_models checkpoint."""
     components, meta = load_checkpoint(path)
-    arch = meta["arch"]
-    gin = GINParams.init(GINConfig(**arch["gin_config"]), 0)
-    _fill(gin.named(), components["gin"], "gin")
-    head = TaskHeadParams.init(gin.config.input_dim, arch["head_hidden"], 0)
-    _fill(head.named(), components["head"], "head")
-    prompts = {}
-    for tag, pcfg in arch["prompts"].items():
-        prompt = PromptParams.init(
-            gin.config.input_dim, pcfg["mlp_hidden"], 0,
-            heads=pcfg["heads"], multi_head=pcfg["multi_head"],
-            dropout=pcfg["dropout"],
-        )
-        _fill({k: v for k, v in prompt.named(tag).items()}, components[tag], tag)
-        prompts[tag] = prompt
+    try:
+        arch = meta["arch"]
+        gin = GINParams.init(GINConfig(**arch["gin_config"]), 0)
+        _fill(gin.named(), components["gin"], "gin")
+        head = TaskHeadParams.init(gin.config.input_dim, arch["head_hidden"], 0)
+        _fill(head.named(), components["head"], "head")
+        prompts = {}
+        for tag, pcfg in arch["prompts"].items():
+            prompt = PromptParams.init(
+                gin.config.input_dim, pcfg["mlp_hidden"], 0,
+                heads=pcfg["heads"], multi_head=pcfg["multi_head"],
+                dropout=pcfg["dropout"],
+            )
+            _fill(prompt.named(tag), components[tag], tag)
+            prompts[tag] = prompt
+    except _UNREADABLE as exc:
+        raise ConfigError(
+            f"{path}: bad model checkpoint ({type(exc).__name__}: {exc})") from None
     return gin, head, prompts, meta

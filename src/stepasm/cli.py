@@ -5,7 +5,6 @@ atomic (temp file + rename), so interrupted runs never leave partial output.
 """
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -15,11 +14,11 @@ import numpy as np
 from . import datagen
 from .chainio import parse_chain_coords, write_chain_file
 from .checkpoint import load_models, save_models
-from .config import RunConfig, config_hash, load_config
+from .config import DataConfig, RunConfig, config_from_dict, config_hash, load_config
 from .diagnostics import batched_gradcheck, gradcheck
 from .errors import ConfigError, StepasmError
 from .graphs import ChainStructure, best_assembly, enumerate_scores
-from .inference import DockingPath, ScoringPipeline, evaluate, infer_path, predict_structure
+from .inference import ScoringPipeline, evaluate, infer_path, predict_structure
 from .ioutil import atomic_write_text
 from .meta import meta_prompt
 from .pretrain import pretrain
@@ -31,7 +30,7 @@ GRADCHECK_TOL = 1e-4
 def _load_run_config(args):
     cfg = load_config(args.config) if args.config else RunConfig()
     if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+        cfg = config_from_dict({"seed": args.seed}, cfg)
     return cfg
 
 
@@ -50,11 +49,13 @@ def _common(sub):
 
 def cmd_gen_data(args):
     cfg = _load_run_config(args)
-    counts = {args.n: args.count} if args.n is not None else cfg.data.counts
+    # --n/--count pass the checks a config's data.counts passes
+    counts = DataConfig({args.n: args.count}).counts if args.n is not None else cfg.data.counts
     os.makedirs(args.out, exist_ok=True)
     multimers = datagen.gen_multimer_set(counts, cfg.seed)
     seeds = {m.name: cfg.seed for m in multimers}
-    source_pool = [m for m in multimers if 3 <= m.n <= 5]
+    lo, hi = datagen.SOURCE_CHAIN_RANGE
+    source_pool = [m for m in multimers if lo <= m.n <= hi]
     source = datagen.make_source_dataset(
         source_pool, cfg.data.samples_per_multimer, cfg.seed
     ) if source_pool else []
@@ -92,7 +93,7 @@ def cmd_gen_data(args):
 def cmd_pretrain(args):
     cfg = _load_run_config(args)
     multimers = datagen.load_multimers(os.path.join(args.data, "multimers.jsonl"))
-    instances = datagen.load_source_dataset(os.path.join(args.data, "source.jsonl"))
+    instances = datagen.load_source_dataset(os.path.join(args.data, "source.jsonl"), multimers)
     gin, head, log = pretrain(instances, multimers, cfg.pretrain_config())
     gin.set_trainable(False)
     head.set_trainable(False)
@@ -114,7 +115,8 @@ def _load_frozen(path):
 def cmd_prompt_tune(args):
     cfg = _load_run_config(args)
     multimers = datagen.load_multimers(os.path.join(args.data, "multimers.jsonl"))
-    instances = datagen.load_target_dataset(os.path.join(args.data, "target.jsonl"))
+    instances = datagen.load_target_dataset(os.path.join(args.data, "target.jsonl"),
+                                            multimers)
     gin, head, _, _ = _load_frozen(args.ckpt)
     items = build_items(instances, multimers)
     prompt, log = prompt_tune(items, gin, head, cfg.prompt_config())
@@ -128,7 +130,8 @@ def cmd_prompt_tune(args):
 def cmd_meta_train(args):
     cfg = _load_run_config(args)
     multimers = datagen.load_multimers(os.path.join(args.data, "multimers.jsonl"))
-    instances = datagen.load_target_dataset(os.path.join(args.data, "target.jsonl"))
+    instances = datagen.load_target_dataset(os.path.join(args.data, "target.jsonl"),
+                                            multimers)
     gin, head, _, _ = _load_frozen(args.ckpt)
     items = build_items(instances, multimers)
     pi_meta, pi_star, log = meta_prompt(
@@ -300,7 +303,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args) or 0
-    except StepasmError as exc:
+    # a missing or unreadable file is reported like any other bad input
+    except (StepasmError, OSError) as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),
             file=sys.stderr,

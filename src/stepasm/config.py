@@ -5,8 +5,10 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+from .datagen import CHAIN_COUNT_RANGE
 from .errors import ConfigError
-from .meta import MetaConfig
+from .meta import MetaConfig, MetaStageConfig
+from .nn.model import GINConfig
 from .pretrain import PretrainConfig
 from .prompt import PromptTuneConfig
 from .training import TrainConfig
@@ -24,39 +26,28 @@ class DataConfig:
         )
         if any(v < 1 for v in self.counts.values()):
             raise ConfigError("multimer counts must be positive")
+        lo, hi = CHAIN_COUNT_RANGE
+        if any(not lo <= k <= hi for k in self.counts):
+            raise ConfigError(f"chain counts must lie in {lo}..{hi}, got {sorted(self.counts)}")
+        if self.samples_per_multimer < 1 or self.starts < 1:
+            raise ConfigError("samples_per_multimer and starts must be positive")
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    hidden_dim: int = 64
-    head_hidden: int = 256
-    num_layers: int = 2
-    dropout: float = 0.2
+    hidden_dim: int = GINConfig.hidden_dim
+    head_hidden: int = PretrainConfig.head_hidden
+    num_layers: int = GINConfig.num_layers
+    dropout: float = GINConfig.dropout
 
 
 @dataclass(frozen=True)
 class PromptStageConfig(TrainConfig):
-    lr: float = 0.001
-    # cross-entropy keeps saturated-wrong probabilities trainable; an absolute
-    # error goes silent there because its gradient carries the sigmoid slope
-    loss: str = "bce"
-    mlp_hidden: int = 1024
-    heads: int = 4
-    multi_head: bool = False
-
-
-@dataclass(frozen=True)
-class MetaStageConfig:
-    inner_lr: float = 0.01
-    outer_lr: float = 0.001
-    task_batch: int = 4
-    support_size: int = 8
-    query_size: int = 8
-    inner_steps: int = 1
-    first_order: bool = True
-    epochs: int = 40
-    pool_size: int = 32
-    adapt_steps: int = 1
+    lr: float = PromptTuneConfig.train.lr
+    loss: str = PromptTuneConfig.train.loss
+    mlp_hidden: int = PromptTuneConfig.mlp_hidden
+    heads: int = PromptTuneConfig.heads
+    multi_head: bool = PromptTuneConfig.multi_head
 
 
 @dataclass(frozen=True)
@@ -64,9 +55,18 @@ class RunConfig:
     seed: int = 0
     data: DataConfig = field(default_factory=DataConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
-    pretrain: TrainConfig = field(default_factory=lambda: TrainConfig(lr=0.01))
+    pretrain: TrainConfig = PretrainConfig.train
     prompt: PromptStageConfig = field(default_factory=PromptStageConfig)
     meta: MetaStageConfig = field(default_factory=MetaStageConfig)
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        # the library configs check their own values; building them here makes
+        # a value they reject fail when the run config loads, not mid-run
+        self.pretrain_config()
+        self.prompt_config()
+        self.meta_config()
 
     def pretrain_config(self):
         return PretrainConfig(
@@ -92,35 +92,42 @@ class RunConfig:
         return MetaConfig(**dataclasses.asdict(self.meta), seed=self.seed)
 
 
-def _from_dict(cls, data, path):
+def _check_type(f, value, where):
+    """JSON value against a field's annotation; an int is a valid float."""
+    expected = (int, float) if f.type is float else f.type
+    if not isinstance(value, expected) or isinstance(value, bool) and f.type is not bool:
+        raise ConfigError(f"{where}.{f.name}: expected {f.type.__name__}, got {value!r}")
+
+
+def _from_dict(base, data, path):
+    """``base`` with the keys of ``data`` replaced; omitted keys keep its values."""
+    where = path or "config"
     if not isinstance(data, dict):
-        raise ConfigError(f"{path or 'config'}: expected a mapping")
-    known = {f.name: f for f in dataclasses.fields(cls)}
+        raise ConfigError(f"{where}: expected a mapping")
+    known = {f.name: f for f in dataclasses.fields(base)}
     unknown = set(data) - set(known)
     if unknown:
         raise ConfigError(
-            f"{path or 'config'}: unknown key(s) {sorted(unknown)}; "
-            f"allowed: {sorted(known)}"
+            f"{where}: unknown key(s) {sorted(unknown)}; allowed: {sorted(known)}"
         )
-    nested = {
-        "data": DataConfig, "model": ModelConfig, "pretrain": TrainConfig,
-        "prompt": PromptStageConfig, "meta": MetaStageConfig,
-    }
     kwargs = {}
     for name, value in data.items():
-        target = nested.get(name) if cls is RunConfig else None
-        if target is not None:
-            kwargs[name] = _from_dict(target, value, f"{path}.{name}" if path else name)
+        section = getattr(base, name)
+        if dataclasses.is_dataclass(section):
+            value = _from_dict(section, value, f"{path}.{name}" if path else name)
         else:
-            kwargs[name] = value
+            _check_type(known[name], value, where)
+        kwargs[name] = value
     try:
-        return cls(**kwargs)
+        return dataclasses.replace(base, **kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path or 'config'}: {exc}") from None
+        raise ConfigError(f"{where}: {exc}") from None
 
 
-def config_from_dict(data):
-    return _from_dict(RunConfig, data, "")
+def config_from_dict(data, base=None):
+    """Run config from a JSON mapping; sections and keys it omits keep the
+    values of ``base`` (the defaults when None)."""
+    return _from_dict(base or RunConfig(), data, "")
 
 
 def config_to_dict(cfg):

@@ -12,11 +12,12 @@ non-contact edge scores visibly below a spanning tree of true contacts.
 import json
 import warnings
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .embeddings import STANDARD_RESIDUES
-from .errors import EmptyDatasetError, MalformedRecordError, NoValidGrowthWarning
+from .errors import EmptyDatasetError, MalformedRecordError, NoValidGrowthWarning, StepasmError
 from .geometry import random_rotation
 from .ioutil import atomic_write_text
 from .graphs import (
@@ -34,6 +35,8 @@ GENERATOR_VERSION = 1
 KEEP_THRESHOLD = 0.99
 CONDITION_CAP = 32
 SMALL_SCALE_MAX = 7  # small/large split boundary on chain count
+CHAIN_COUNT_RANGE = (3, 30)  # chain counts the generator builds
+SOURCE_CHAIN_RANGE = (3, 5)  # chain counts of pre-training complexes
 
 _ACIDIC = "DE"
 _BASIC = "KR"
@@ -79,8 +82,7 @@ class TargetInstance:
         return multimer.subgraph(nodes, edges)
 
 
-@dataclass(frozen=True)
-class ScaleSplit:
+class ScaleSplit(NamedTuple):
     small: tuple  # instances from multimers with N <= 7
     large: tuple  # N >= 8
 
@@ -164,8 +166,9 @@ def _rigid_jumble(rng, coord_sets, spread=30.0):
 
 def gen_synthetic_multimer(n, seed, name=None):
     """Random n-chain multimer with ground truth, contacts, and a full dimer library."""
-    if not 3 <= n <= 30:
-        raise ValueError(f"chain count must be in 3..30, got {n}")
+    lo, hi = CHAIN_COUNT_RANGE
+    if not lo <= n <= hi:
+        raise ValueError(f"chain count must be in {lo}..{hi}, got {n}")
     rng = as_rng(seed)
     tree = random_uca_edges(n, rng)
     parity = _tree_parity(n, tree)
@@ -260,11 +263,11 @@ def gen_multimer_set(counts, seed, prefix="syn"):
     return out
 
 
-def make_source_dataset(multimers, samples_per_multimer, seed, n_range=(3, 5)):
+def make_source_dataset(multimers, samples_per_multimer, seed):
     """Random deduplicated assembly graphs per multimer, labeled by the oracle."""
     if samples_per_multimer < 1:
         raise ValueError("samples_per_multimer must be positive")
-    lo, hi = n_range
+    lo, hi = SOURCE_CHAIN_RANGE
     out = []
     for idx, m in enumerate(multimers):
         if not lo <= m.n <= hi:
@@ -283,12 +286,22 @@ def make_source_dataset(multimers, samples_per_multimer, seed, n_range=(3, 5)):
     return out
 
 
-def make_target_dataset(multimer, seed, starts=1, keep_threshold=KEEP_THRESHOLD,
-                        cap=CONDITION_CAP):
+def _extensions(multimer, cond):
+    """(v_d, v_u, extended graph) for every docking action on ``cond``."""
+    undocked = [v for v in range(multimer.n) if v not in cond.nodes]
+    for v_d in cond.nodes:
+        for v_u in undocked:
+            yield v_d, v_u, multimer.subgraph(
+                tuple(cond.nodes) + (v_u,), cond.edges + ((v_d, v_u),)
+            )
+
+
+def make_target_dataset(multimer, seed, starts=1):
     """Docking-action records grown level by level from random start chains.
 
     During growth an extension is kept (as a record and as a further growth
-    condition) only when its correctness exceeds ``keep_threshold``. A final
+    condition) only when its correctness exceeds KEEP_THRESHOLD; at most
+    CONDITION_CAP of them per level grow further. A final
     sweep then revisits every retained condition graph — singleton starts
     included — and records every possible extension with its true label, so
     wrong docking actions appear at every condition size.
@@ -296,7 +309,6 @@ def make_target_dataset(multimer, seed, starts=1, keep_threshold=KEEP_THRESHOLD,
     if multimer.n < 3:
         raise ValueError("target data needs at least 3 chains")
     rng = as_rng(seed)
-    all_nodes = set(range(multimer.n))
     records = []
     seen_records = set()
 
@@ -337,44 +349,34 @@ def make_target_dataset(multimer, seed, starts=1, keep_threshold=KEEP_THRESHOLD,
         grown = []
         best_below = None
         for cond in conditions:
-            undocked = sorted(all_nodes - set(cond.nodes))
-            for v_d in cond.nodes:
-                for v_u in undocked:
-                    ext = multimer.subgraph(
-                        tuple(cond.nodes) + (v_u,), cond.edges + ((v_d, v_u),)
-                    )
-                    y = correctness(ext)
-                    if y > keep_threshold:
-                        emit(cond, v_d, v_u, y)
-                        if ext.key() not in seen_conditions:
-                            seen_conditions.add(ext.key())
-                            grown.append((y, ext, (cond, v_d, v_u)))
-                    elif best_below is None or y > best_below[0]:
-                        best_below = (y, ext, (cond, v_d, v_u))
+            for v_d, v_u, ext in _extensions(multimer, cond):
+                y = correctness(ext)
+                if y > KEEP_THRESHOLD:
+                    emit(cond, v_d, v_u, y)
+                    if ext.key() not in seen_conditions:
+                        seen_conditions.add(ext.key())
+                        grown.append((y, ext, (cond, v_d, v_u)))
+                elif best_below is None or y > best_below[0]:
+                    best_below = (y, ext, (cond, v_d, v_u))
         if not grown:
             # dead end: push through the least-bad extension so growth continues
             y, ext, (cond, v_d, v_u) = best_below
             warnings.warn(
-                f"{multimer.name}: no extension above {keep_threshold} at size "
+                f"{multimer.name}: no extension above {KEEP_THRESHOLD} at size "
                 f"{size}; keeping best scorer ({y:.3f})",
                 NoValidGrowthWarning,
             )
             emit(cond, v_d, v_u, y)
             grown = [(y, ext, None)]
         grown.sort(key=lambda item: (-item[0], item[1].edges))
-        conditions = [ext for _, ext, _ in grown[:cap]]
+        conditions = [ext for _, ext, _ in grown[:CONDITION_CAP]]
         retained.extend(conditions)
 
     # final sweep: every retained condition, every extension, true labels —
     # this is where wrong actions (low y) enter the dataset
     for cond in retained:
-        undocked = sorted(all_nodes - set(cond.nodes))
-        for v_d in cond.nodes:
-            for v_u in undocked:
-                ext = multimer.subgraph(
-                    tuple(cond.nodes) + (v_u,), cond.edges + ((v_d, v_u),)
-                )
-                emit(cond, v_d, v_u, correctness(ext))
+        for v_d, v_u, ext in _extensions(multimer, cond):
+            emit(cond, v_d, v_u, correctness(ext))
     return records
 
 
@@ -408,6 +410,8 @@ def multimer_to_dict(m, seed=None):
 
 
 def multimer_from_dict(d):
+    if not isinstance(d["name"], str):
+        raise ValueError(f"multimer name must be a string, got {d['name']!r}")
     chains = tuple(
         ChainStructure(c["id"], c["sequence"], np.array(c["coords"]))
         for c in d["chains"]
@@ -430,7 +434,10 @@ def save_jsonl(path, dicts):
     atomic_write_text(path, text)
 
 
-def load_jsonl(path):
+def _load_records(path, convert):
+    """``convert(record)`` for each JSON line of ``path``. A line that is not
+    JSON, or whose record ``convert`` rejects, raises MalformedRecordError
+    with its line number."""
     out = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -438,9 +445,15 @@ def load_jsonl(path):
             if not line:
                 continue
             try:
-                out.append(json.loads(line))
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise MalformedRecordError(f"bad JSON record: {exc}", lineno) from None
+            try:
+                out.append(convert(record))
+            except (StepasmError, KeyError, IndexError, TypeError, ValueError,
+                    AttributeError) as exc:
+                raise MalformedRecordError(
+                    f"bad record: {type(exc).__name__}: {exc}", lineno) from None
     return out
 
 
@@ -450,45 +463,63 @@ def save_multimers(path, multimers, seeds=None):
 
 
 def load_multimers(path):
-    return {d["name"]: multimer_from_dict(d) for d in load_jsonl(path)}
+    return {m.name: m for m in _load_records(path, multimer_from_dict)}
+
+
+def _load_dataset(path, multimers, make):
+    """``make(record, multimer)`` for the records of ``path``, each with the
+    multimer of ``multimers`` it names."""
+    def convert(r):
+        m = multimers.get(r["multimer"])
+        if m is None or m.n != r["n"]:
+            raise ValueError(f"no {r['n']}-chain multimer named {r['multimer']!r}")
+        return make(r, m)
+
+    instances = _load_records(path, convert)
+    if not instances:
+        raise EmptyDatasetError(f"no records in {path}")
+    return instances
 
 
 def save_source_dataset(path, instances):
     save_jsonl(path, (asdict(i) for i in instances))
 
 
-def load_source_dataset(path):
-    rows = load_jsonl(path)
-    if not rows:
-        raise EmptyDatasetError(f"no records in {path}")
-    return [
-        SourceInstance(
-            multimer=r["multimer"],
-            n=int(r["n"]),
+def load_source_dataset(path, multimers):
+    """Source records; each must be a tree over the multimer it names."""
+    def make(r, m):
+        inst = SourceInstance(
+            multimer=m.name,
+            n=m.n,
             edges=canonical_edges(r["edges"]),
             y=float(r["y"]),
         )
-        for r in rows
-    ]
+        inst.graph(m)
+        return inst
+
+    return _load_dataset(path, multimers, make)
 
 
 def save_target_dataset(path, instances):
     save_jsonl(path, (asdict(i) for i in instances))
 
 
-def load_target_dataset(path):
-    rows = load_jsonl(path)
-    if not rows:
-        raise EmptyDatasetError(f"no records in {path}")
-    return [
-        TargetInstance(
-            multimer=r["multimer"],
-            n=int(r["n"]),
+def load_target_dataset(path, multimers):
+    """Target records; each extended condition must be a tree over chains of
+    the multimer it names."""
+    def make(r, m):
+        inst = TargetInstance(
+            multimer=m.name,
+            n=m.n,
             cond_nodes=tuple(int(v) for v in r["cond_nodes"]),
             cond_edges=canonical_edges(r["cond_edges"]),
             v_d=int(r["v_d"]),
             v_u=int(r["v_u"]),
             y=float(r["y"]),
         )
-        for r in rows
-    ]
+        if min(inst.cond_nodes + (inst.v_u,)) < 0:
+            raise ValueError("chain labels must be non-negative")
+        inst.extended(m)
+        return inst
+
+    return _load_dataset(path, multimers, make)

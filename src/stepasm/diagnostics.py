@@ -34,57 +34,12 @@ def relative_error(analytic, numeric):
     return num / max(den, 1e-12)
 
 
-def gradcheck(num_graphs=50, seed=0, eps=1e-5, hidden_dim=8, head_hidden=8):
-    """Max relative error over random graphs, encoder -> readout -> MAE loss.
-
-    Uses tiny layer widths so the flattened parameter vector stays small
-    enough for exhaustive coordinate-wise differencing.
-    """
-    rng = np.random.default_rng(seed)
-    cfg = GINConfig(hidden_dim=hidden_dim, dropout=0.0)
-    worst = 0.0
-    for trial in range(num_graphs):
-        n = int(rng.integers(2, 6))
-        edges = random_uca_edges(n, rng) if n > 1 else ()
-        feats = rng.standard_normal((n, cfg.input_dim))
-        target = rng.random((1, 1))
-        gin = GINParams.init(cfg, [seed, trial, 0])
-        head = TaskHeadParams.init(cfg.input_dim, head_hidden, [seed, trial, 1])
-        named = named_union(gin.named(), head.named())
-        vec0, layout = flatten_named(named)
-        seg = np.zeros(n, dtype=np.intp)
-
-        def loss_at(vec):
-            load_vector(named, layout, vec)
-            pred = forward_batch(feats, edges, seg, 1, gin, head)
-            return float(mae_loss(pred, target).data)
-
-        load_vector(named, layout, vec0)
-        pred = forward_batch(feats, edges, seg, 1, gin, head)
-        loss = mae_loss(pred, target)
-        for t in named.values():
-            t.grad = None
-        loss.backward()
-        analytic = grad_vector(named, layout)
-        numeric = central_diff_grad(loss_at, vec0, eps)
-        worst = max(worst, relative_error(analytic, numeric))
-    return worst
-
-
-def batched_gradcheck(seed=0, eps=1e-5):
-    """Same check with several graphs fused into one disjoint-union batch."""
-    rng = np.random.default_rng(seed)
-    cfg = GINConfig(hidden_dim=6, dropout=0.0)
-    graphs = []
-    targets = []
-    for _ in range(4):
-        n = int(rng.integers(2, 5))
-        graphs.append((rng.standard_normal((n, cfg.input_dim)), random_uca_edges(n, rng)))
-        targets.append(rng.random())
+def _check_batch(graphs, targets, cfg, head_hidden, gin_seed, head_seed):
+    """Relative error of the analytic gradient of encoder -> readout -> MAE
+    loss over one disjoint-union batch of (features, edges) graphs."""
     feats, edges, seg, g = pack_graphs(graphs)
-    targets = np.array(targets)
-    gin = GINParams.init(cfg, [seed, 100])
-    head = TaskHeadParams.init(cfg.input_dim, 6, [seed, 101])
+    gin = GINParams.init(cfg, gin_seed)
+    head = TaskHeadParams.init(cfg.input_dim, head_hidden, head_seed)
     named = named_union(gin.named(), head.named())
     vec0, layout = flatten_named(named)
 
@@ -100,5 +55,38 @@ def batched_gradcheck(seed=0, eps=1e-5):
         t.grad = None
     loss.backward()
     analytic = grad_vector(named, layout)
-    numeric = central_diff_grad(loss_at, vec0, eps)
+    numeric = central_diff_grad(loss_at, vec0)
     return relative_error(analytic, numeric)
+
+
+def gradcheck(num_graphs=50, seed=0):
+    """Max relative error over random graphs, one graph per check.
+
+    Uses tiny layer widths so the flattened parameter vector stays small
+    enough for exhaustive coordinate-wise differencing.
+    """
+    rng = np.random.default_rng(seed)
+    cfg = GINConfig(hidden_dim=8, dropout=0.0)
+    worst = 0.0
+    for trial in range(num_graphs):
+        n = int(rng.integers(2, 6))
+        edges = random_uca_edges(n, rng)
+        feats = rng.standard_normal((n, cfg.input_dim))
+        target = rng.random((1, 1))
+        err = _check_batch([(feats, edges)], target, cfg, 8,
+                           [seed, trial, 0], [seed, trial, 1])
+        worst = max(worst, err)
+    return worst
+
+
+def batched_gradcheck(seed=0):
+    """Same check with several graphs fused into one disjoint-union batch."""
+    rng = np.random.default_rng(seed)
+    cfg = GINConfig(hidden_dim=6, dropout=0.0)
+    graphs = []
+    targets = []
+    for _ in range(4):
+        n = int(rng.integers(2, 5))
+        graphs.append((rng.standard_normal((n, cfg.input_dim)), random_uca_edges(n, rng)))
+        targets.append(rng.random())
+    return _check_batch(graphs, np.array(targets), cfg, 6, [seed, 100], [seed, 101])

@@ -78,10 +78,6 @@ class RigidTransform:
         rot_inv = self.rotation.T
         return RigidTransform(rot_inv, -rot_inv @ self.translation)
 
-    @classmethod
-    def identity(cls):
-        return cls(np.eye(3), np.zeros(3))
-
 
 def kabsch_align(reference, mobile):
     """Optimal rigid transform T minimizing RMSD(reference, T(mobile)).

@@ -42,11 +42,9 @@ def canonical_edges(edges):
     return tuple(out)
 
 
-def is_labeled_tree(nodes, edges):
-    """Union-find check: |E| = |V| - 1, no cycle, one component."""
-    nodes = list(nodes)
-    if len(edges) != len(nodes) - 1:
-        return False
+def _join_count(nodes, edges):
+    """Union-find over ``nodes``: how many ``edges`` join two components, or
+    None when an edge has an endpoint outside ``nodes``."""
     parent = {v: v for v in nodes}
 
     def find(v):
@@ -55,14 +53,21 @@ def is_labeled_tree(nodes, edges):
             v = parent[v]
         return v
 
+    joins = 0
     for a, b in edges:
         if a not in parent or b not in parent:
-            return False
+            return None
         ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-    return True
+        if ra != rb:
+            parent[ra] = rb
+            joins += 1
+    return joins
+
+
+def is_labeled_tree(nodes, edges):
+    """|E| = |V| - 1 edges inside the node set, each joining two components."""
+    nodes = list(nodes)
+    return len(edges) == len(nodes) - 1 and _join_count(nodes, edges) == len(edges)
 
 
 @dataclass(frozen=True)
@@ -121,11 +126,6 @@ class AssemblyGraph:
         for v in adj:
             adj[v].sort()
         return adj
-
-    def with_edge(self, a, b, attrs=None):
-        """New graph with node b (possibly new) attached through edge (a, b)."""
-        nodes = self.nodes if b in self.nodes else self.nodes + (b,)
-        return AssemblyGraph(nodes, self.edges + ((a, b),), attrs)
 
 
 def as_rng(seed):
@@ -269,8 +269,10 @@ class Multimer:
         self.contact_edges = frozenset(
             (min(a, b), max(a, b)) for a, b in self.contact_edges
         )
-        if not is_labeled_tree(range(self.n), _spanning_subset(self.n, self.contact_edges)):
-            raise ValueError("contact edges do not connect all chains")
+        if _join_count(range(self.n), self.contact_edges) != self.n - 1:
+            raise ValueError(
+                f"contact edges must join chains 0..{self.n - 1} into one component"
+            )
 
     @property
     def n(self):
@@ -288,25 +290,6 @@ class Multimer:
     def subgraph(self, nodes, edges):
         feats = self.chain_features[sorted(int(v) for v in nodes)]
         return AssemblyGraph(tuple(nodes), edges, feats)
-
-
-def _spanning_subset(n, edges):
-    """A spanning tree drawn from ``edges`` via union-find, for connectivity checks."""
-    parent = list(range(n))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    picked = []
-    for a, b in sorted(edges):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            picked.append((a, b))
-    return picked
 
 
 def _traversal_order(graph):
@@ -332,7 +315,7 @@ def _traversal_order(graph):
     return order
 
 
-def place_chains(edge_sequence, dimers, singleton=None):
+def place_chains(edge_sequence, dimers):
     """Place chains along an edge sequence where each edge extends placed ones.
 
     The first edge's first endpoint keeps its dimer-frame coordinates; every
@@ -341,9 +324,6 @@ def place_chains(edge_sequence, dimers, singleton=None):
     Returns {chain index: coordinates}.
     """
     placed = {}
-    if singleton is not None:
-        label, coords = singleton
-        placed[int(label)] = as_coords(coords)
     for d, u in edge_sequence:
         if d not in placed and u not in placed:
             if placed:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datagen import SMALL_SCALE_MAX
 from .errors import (
     LengthMismatchError,
     MalformedRecordError,
@@ -36,7 +37,9 @@ from .prompt import pipeline_forward_batch  # noqa: F401
 
 logger = logging.getLogger("stepasm")
 
-SMALL_ASSEMBLY_MAX = 7  # largest post-action size still scored by the meta prompt
+# largest post-action size still scored by the meta prompt: the meta prompt is
+# trained on the small-scale items
+SMALL_ASSEMBLY_MAX = SMALL_SCALE_MAX
 
 
 @dataclass(frozen=True)
@@ -66,9 +69,6 @@ class DockingPath:
 
     def edges(self):
         return canonical_edges(self.actions)
-
-    def implied_graph(self, attrs=None):
-        return AssemblyGraph.over(self.n, self.actions, attrs)
 
     def to_text(self):
         lines = [f"# docking path: {self.n} chains, {len(self.actions)} actions"]
@@ -113,14 +113,11 @@ class ScoringPipeline:
         self.gin = gin
         self.head = head
         self.prompt = prompt
-        self.eval_count = 0
 
     def score_actions(self, chain_features, cond_nodes, cond_edges, pairs):
         """Probabilities for candidate (v_d, v_u) actions under one condition graph."""
-        out = score_candidates(chain_features, cond_nodes, cond_edges, pairs,
-                               self.gin, self.head, self.prompt)
-        self.eval_count += len(pairs)
-        return out
+        return score_candidates(chain_features, cond_nodes, cond_edges, pairs,
+                                self.gin, self.head, self.prompt)
 
 
 def _pick(pairs, scores, dimers):
@@ -153,7 +150,7 @@ def infer_path(chain_features, small_pipeline, large_pipeline=None, dimers=None)
 
     ``chain_features`` is the (N, d) chain-embedding matrix. The large-scale
     pipeline is only consulted once the post-action assembly exceeds
-    7 chains; omitting it is fine for small complexes.
+    SMALL_ASSEMBLY_MAX chains; omitting it is fine for small complexes.
     """
     chain_features = np.asarray(chain_features, dtype=np.float64)
     n = chain_features.shape[0]
@@ -170,7 +167,6 @@ def infer_path(chain_features, small_pipeline, large_pipeline=None, dimers=None)
     while len(actions) < n - 1:
         post_size = 2 if not docked else len(docked) + 1
         pipe = small_pipeline if post_size <= SMALL_ASSEMBLY_MAX else large_pipeline
-        before = pipe.eval_count
         if not docked:
             # first action: every ordered pair (d, u) under its singleton {d}; the
             # edgeless graph over all chains encodes each chain as its singleton
@@ -191,7 +187,7 @@ def infer_path(chain_features, small_pipeline, large_pipeline=None, dimers=None)
         edges.append((d, u) if d < u else (u, d))
         actions.append((d, u))
         probs.append(p)
-        evals.append(pipe.eval_count - before)
+        evals.append(len(pairs))
         margins.append(margin)
         fallbacks += fell_back
     return DockingPath(tuple(actions), tuple(probs), tuple(evals), tuple(margins),

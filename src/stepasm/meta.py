@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import SMALL_SCALE_MAX
+from .datagen import split_by_scale
 from .errors import EmptyDatasetError, InsufficientDataError
 from .nn.model import flatten_named, grad_vector, load_vector
 from .nn.tensor import bce_loss
@@ -25,7 +25,9 @@ from .prompt import (
 
 
 @dataclass(frozen=True)
-class MetaConfig:
+class MetaStageConfig:
+    """The meta stage's settings; the run config's ``meta`` section."""
+
     inner_lr: float = 0.01
     outer_lr: float = 0.001
     task_batch: int = 4
@@ -36,7 +38,6 @@ class MetaConfig:
     epochs: int = 40
     pool_size: int = 32
     adapt_steps: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.inner_lr < 0 or self.outer_lr <= 0:
@@ -44,6 +45,11 @@ class MetaConfig:
         if min(self.task_batch, self.support_size, self.query_size,
                self.inner_steps, self.epochs, self.pool_size) < 1:
             raise ValueError("meta config counts must be positive")
+
+
+@dataclass(frozen=True)
+class MetaConfig(MetaStageConfig):
+    seed: int = 0
 
 
 class VectorObjective:
@@ -120,6 +126,27 @@ def sample_task_pool(objective_size, cfg, seed):
     return tasks
 
 
+def _maml_task(objective, vec, support, query, alpha, inner_steps, first_order):
+    """(outer gradient, adapted vector) of one task: see maml_outer_gradient."""
+    adapted = vec
+    for _ in range(inner_steps):
+        adapted = adapted - alpha * objective.grad(adapted, support)
+    gq = objective.grad(adapted, query)
+    if first_order or alpha == 0.0:
+        return gq, adapted
+    if inner_steps != 1:
+        raise ValueError("exact second-order path supports a single inner step")
+    norm = np.linalg.norm(gq)
+    if norm == 0.0:
+        return gq, adapted
+    eps = 1e-6 * (1.0 + np.linalg.norm(vec)) / norm
+    hvp = (
+        objective.grad(vec + eps * gq, support)
+        - objective.grad(vec - eps * gq, support)
+    ) / (2.0 * eps)
+    return gq - alpha * hvp, adapted
+
+
 def maml_outer_gradient(objective, vec, support, query, alpha, inner_steps=1,
                         first_order=True):
     """Gradient of the query loss after the inner update, wrt the initial vec.
@@ -129,23 +156,7 @@ def maml_outer_gradient(objective, vec, support, query, alpha, inner_steps=1,
     (I - alpha * H_support) to it, with the Hessian-vector product taken by
     central differences of the analytic support gradient.
     """
-    adapted = vec
-    for _ in range(inner_steps):
-        adapted = adapted - alpha * objective.grad(adapted, support)
-    gq = objective.grad(adapted, query)
-    if first_order or alpha == 0.0:
-        return gq
-    if inner_steps != 1:
-        raise ValueError("exact second-order path supports a single inner step")
-    norm = np.linalg.norm(gq)
-    if norm == 0.0:
-        return gq
-    eps = 1e-6 * (1.0 + np.linalg.norm(vec)) / norm
-    hvp = (
-        objective.grad(vec + eps * gq, support)
-        - objective.grad(vec - eps * gq, support)
-    ) / (2.0 * eps)
-    return gq - alpha * hvp
+    return _maml_task(objective, vec, support, query, alpha, inner_steps, first_order)[0]
 
 
 def meta_initialize(objective, vec0, cfg):
@@ -163,13 +174,9 @@ def meta_initialize(objective, vec0, cfg):
         qloss = 0.0
         for t in picks:
             support, query = pool[t]
-            total += maml_outer_gradient(
-                objective, vec, support, query, cfg.inner_lr,
-                inner_steps=cfg.inner_steps, first_order=cfg.first_order,
-            )
-            adapted = vec
-            for _ in range(cfg.inner_steps):
-                adapted = adapted - cfg.inner_lr * objective.grad(adapted, support)
+            grad, adapted = _maml_task(objective, vec, support, query, cfg.inner_lr,
+                                       cfg.inner_steps, cfg.first_order)
+            total += grad
             qloss += objective.loss(adapted, query)
         vec = vec - cfg.outer_lr * total
         log.append({"epoch": epoch, "query_loss": qloss / picks.size})
@@ -211,8 +218,7 @@ def meta_prompt(items, gin, head, meta_cfg=None, tune_cfg=None):
     """
     meta_cfg = meta_cfg or MetaConfig()
     tune_cfg = tune_cfg or PromptTuneConfig()
-    small = [it for it in items if it.n <= SMALL_SCALE_MAX]
-    large = [it for it in items if it.n > SMALL_SCALE_MAX]
+    small, large = split_by_scale(items)
     if not small:
         raise InsufficientDataError("meta-initialization needs small-scale items")
     template = PromptParams.init(

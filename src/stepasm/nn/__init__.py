@@ -1,36 +1,1 @@
-from .model import (
-    GINConfig,
-    GINParams,
-    MLPParams,
-    TaskHeadParams,
-    flatten_named,
-    forward_batch,
-    gin_encode,
-    grad_vector,
-    load_vector,
-    named_union,
-    pack_graphs,
-    params_hash,
-    readout_regress,
-)
-from .optim import Adam
-from .tensor import Tensor, mae_loss
-
-__all__ = [
-    "Adam",
-    "GINConfig",
-    "GINParams",
-    "MLPParams",
-    "TaskHeadParams",
-    "Tensor",
-    "flatten_named",
-    "forward_batch",
-    "gin_encode",
-    "grad_vector",
-    "load_vector",
-    "mae_loss",
-    "named_union",
-    "pack_graphs",
-    "params_hash",
-    "readout_regress",
-]
+"""Reverse-mode autodiff tensors, the GIN encoder and task head, and Adam."""

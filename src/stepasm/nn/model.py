@@ -43,6 +43,12 @@ class GINConfig:
     num_layers: int = 2
     dropout: float = 0.2
 
+    def __post_init__(self):
+        if min(self.input_dim, self.hidden_dim, self.num_layers) < 1:
+            raise ValueError("encoder widths and layer count must be positive")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
+
     def layer_dims(self):
         dims = []
         for k in range(self.num_layers):

@@ -5,18 +5,22 @@ import numpy as np
 from ..errors import ShapeMismatchError
 
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 class Adam:
-    """Standard Adam (betas 0.9/0.999, eps 1e-8) with bias correction.
+    """Standard Adam (betas BETA1/BETA2, EPS in the denominator) with bias
+    correction.
 
     Parameters are a name -> Tensor mapping; update order follows insertion
     order of the dict, so runs are reproducible.
     """
 
-    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8):
+    def __init__(self, params, lr):
         self.params = dict(params)
         self.lr = float(lr)
-        self.beta1, self.beta2 = betas
-        self.eps = float(eps)
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -27,8 +31,8 @@ class Adam:
 
     def step(self):
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         for name, p in self.params.items():
             g = p.grad
             if g is None:
@@ -39,22 +43,8 @@ class Adam:
                 )
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-    def state_arrays(self):
-        """Optimizer state as flat name -> array entries for checkpointing."""
-        out = {"adam_t": np.array([self.t], dtype=np.int64)}
-        for name in self.params:
-            out[f"adam_m::{name}"] = self.m[name]
-            out[f"adam_v::{name}"] = self.v[name]
-        return out
-
-    def load_state_arrays(self, arrays):
-        self.t = int(arrays["adam_t"][0])
-        for name in self.params:
-            self.m[name] = np.array(arrays[f"adam_m::{name}"])
-            self.v[name] = np.array(arrays[f"adam_v::{name}"])
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)

@@ -29,12 +29,6 @@ class Tensor:
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
 
-    def detach(self):
-        return Tensor(self.data.copy())
-
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self, seed=None):
         """Populate .grad on every requires_grad tensor reachable from here."""
         if not self.requires_grad:

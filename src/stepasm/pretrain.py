@@ -1,6 +1,6 @@
 """Encoder + task-head training on whole-graph assembly-correctness regression."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,12 +18,17 @@ from .training import TrainConfig, fit
 
 @dataclass(frozen=True)
 class PretrainConfig:
-    train: TrainConfig = field(default_factory=lambda: TrainConfig(lr=0.01))
-    hidden_dim: int = 64
+    train: TrainConfig = TrainConfig(lr=0.01)
+    hidden_dim: int = GINConfig.hidden_dim
     head_hidden: int = 256
-    num_layers: int = 2
-    dropout: float = 0.2
+    num_layers: int = GINConfig.num_layers
+    dropout: float = GINConfig.dropout
     seed: int = 0
+
+    def __post_init__(self):
+        self.gin_config()  # GINConfig checks the encoder values
+        if self.head_hidden < 1:
+            raise ValueError("head_hidden must be positive")
 
     def gin_config(self):
         return GINConfig(

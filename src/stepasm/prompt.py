@@ -54,7 +54,9 @@ LISTWISE_TEMPERATURE = 0.01
 
 @dataclass(frozen=True)
 class PromptTuneConfig:
-    train: TrainConfig = None
+    # cross-entropy keeps saturated-wrong probabilities trainable; an absolute
+    # error goes silent there because its gradient carries the sigmoid slope
+    train: TrainConfig = TrainConfig(lr=0.001, loss="bce")
     mlp_hidden: int = 1024
     heads: int = 4
     multi_head: bool = False
@@ -62,8 +64,8 @@ class PromptTuneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.train is None:
-            object.__setattr__(self, "train", TrainConfig(lr=0.001, loss="bce"))
+        if self.mlp_hidden < 1 or self.heads < 1:
+            raise ValueError("mlp_hidden and heads must be positive")
 
 
 class PromptParams:
@@ -78,8 +80,7 @@ class PromptParams:
     them.
     """
 
-    def __init__(self, mlp, heads=4, multi_head=False, dropout=0.2,
-                 in_shift=None, in_scale=None):
+    def __init__(self, mlp, heads, multi_head, dropout, in_shift=None, in_scale=None):
         self.mlp = mlp
         self.heads = int(heads)
         self.multi_head = bool(multi_head)
@@ -89,7 +90,8 @@ class PromptParams:
         self.in_scale = in_scale if in_scale is not None else Tensor(np.ones(d))
 
     @classmethod
-    def init(cls, embed_dim, mlp_hidden, seed, heads=4, multi_head=False, dropout=0.2):
+    def init(cls, embed_dim, mlp_hidden, seed, heads=PromptTuneConfig.heads,
+             multi_head=PromptTuneConfig.multi_head, dropout=PromptTuneConfig.dropout):
         rng = np.random.default_rng(seed)
         mlp = MLPParams.init((embed_dim, mlp_hidden, mlp_hidden, embed_dim), rng)
         return cls(mlp, heads=heads, multi_head=multi_head, dropout=dropout)

@@ -23,6 +23,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr <= 0 or self.epochs < 1 or self.batch_size < 1 or self.patience < 1:
             raise ValueError("training config values must be positive")
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ValueError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")
         if self.loss not in LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}, expected one of {sorted(LOSSES)}")
 

@@ -1,5 +1,6 @@
 """Command-line workflow, checkpoints, run configs, and chain-file IO."""
 
+import dataclasses
 import json
 import os
 
@@ -210,6 +211,79 @@ def test_cli_seed_override(workflow, tmp_path):
     assert manifest["seed"] == 9
 
 
+def _first_record(path, n):
+    """The lines of a multimers file, and the index and record of its first
+    n-chain multimer."""
+    lines = path.read_text().splitlines()
+    for i, line in enumerate(lines):
+        record = json.loads(line)
+        if record["n"] == n:
+            return lines, i, record
+    raise AssertionError(f"no {n}-chain multimer in {path}")
+
+
+def _without_chains(record):
+    del record["chains"]
+
+
+def _contact(pair):
+    def mutate(record):
+        record["contacts"][0] = list(pair)
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [_without_chains, _contact((0, 9)), _contact((-1, 0))],
+                         ids=["no-chains", "contact-high", "contact-negative"])
+def test_cli_rejects_malformed_multimer_records(workflow, tmp_path, capsys, mutate):
+    _, _, data, _, tuned = workflow
+    lines, i, record = _first_record(data / "multimers.jsonl", 3)
+    mutate(record)
+    lines[i] = json.dumps(record)
+    bad = tmp_path / "multimers.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    code = cli.main(["infer", "--multimers", str(bad), "--ckpt", str(tuned),
+                     "--out", str(tmp_path / "pred")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "MalformedRecordError"
+    assert err["message"].startswith(f"line {i + 1}: ")
+
+
+def test_cli_rejects_target_record_of_unknown_multimer(workflow, tmp_path, capsys):
+    _, _, data, pre, _ = workflow
+    bad = tmp_path / "data"
+    bad.mkdir()
+    (bad / "multimers.jsonl").write_text((data / "multimers.jsonl").read_text())
+    lines = (data / "target.jsonl").read_text().splitlines()
+    record = json.loads(lines[1])
+    record["multimer"] = "no-such-multimer"
+    lines[1] = json.dumps(record)
+    (bad / "target.jsonl").write_text("\n".join(lines) + "\n")
+    code = cli.main(["prompt-tune", "--data", str(bad), "--ckpt", str(pre),
+                     "--out", str(tmp_path / "tuned.npz")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "MalformedRecordError"
+    assert err["message"].startswith("line 2: ")
+
+
+@pytest.mark.parametrize("content,error", [
+    (None, "FileNotFoundError"),
+    (b"not a checkpoint\n", "ConfigError"),
+    (b"", "ConfigError"),
+    (b"PK\x03\x04 truncated", "ConfigError"),
+], ids=["missing", "text", "empty", "truncated-zip"])
+def test_cli_rejects_unreadable_checkpoints(workflow, tmp_path, capsys, content, error):
+    _, _, data, *_ = workflow
+    ckpt = tmp_path / "model.npz"
+    if content is not None:
+        ckpt.write_bytes(content)
+    code = cli.main(["infer", "--multimers", str(data / "multimers.jsonl"),
+                     "--ckpt", str(ckpt), "--out", str(tmp_path / "pred")])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == error
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -228,6 +302,45 @@ def test_config_rejects_bad_values():
         config_from_dict({"prompt": {"loss": "huber"}})
     with pytest.raises(ConfigError):
         config_from_dict({"data": {"counts": {"3": 0}}})
+
+
+def test_partial_sections_fill_from_defaults():
+    cfg = config_from_dict({"pretrain": {"epochs": 1}, "meta": {"epochs": 2}})
+    assert cfg.pretrain == dataclasses.replace(RunConfig().pretrain, epochs=1)
+    assert cfg.meta == dataclasses.replace(RunConfig().meta, epochs=2)
+    assert cfg.prompt == RunConfig().prompt
+
+
+@pytest.mark.parametrize("config", [
+    {"meta": {"epochs": 0}},
+    {"model": {"hidden_dim": 0}},
+    {"model": {"dropout": 1.0}},
+    {"prompt": {"heads": 0}},
+    {"prompt": {"val_fraction": 1.0}},
+    {"seed": "abc"},
+    {"seed": -1},
+    {"prompt": {"epochs": 2.5}},
+    {"data": {"counts": {"40": 1}}},
+    {"data": {"counts": {"2": 1}}},
+    {"data": {"starts": 0}},
+], ids=["meta-epochs", "hidden-dim", "dropout", "heads", "val-fraction", "seed-type",
+        "seed-negative", "epochs-type", "chain-count-high", "chain-count-low", "starts"])
+def test_cli_rejects_bad_config_values_at_load(tmp_path, capsys, config):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "data"
+    assert cli.main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert not out.exists()  # rejected before any work
+
+
+def test_cli_rejects_out_of_range_chain_count_flag(tmp_path, capsys):
+    out = tmp_path / "data"
+    assert cli.main(["gen-data", "--n", "40", "--count", "1", "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert cli.main(["gen-data", "--seed", "-1", "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
 def test_config_hash_stable_under_key_order(tmp_path):

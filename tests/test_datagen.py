@@ -245,7 +245,7 @@ def test_source_file_roundtrip(tmp_path):
     src = make_source_dataset(ms, 3, seed=18)
     path = tmp_path / "source.jsonl"
     save_source_dataset(path, src)
-    assert load_source_dataset(path) == src
+    assert load_source_dataset(path, {ms[0].name: ms[0]}) == src
 
 
 def test_target_file_roundtrip(tmp_path):
@@ -253,21 +253,21 @@ def test_target_file_roundtrip(tmp_path):
     tgt = make_target_dataset(m, np.random.default_rng(20))
     path = tmp_path / "target.jsonl"
     save_target_dataset(path, tgt)
-    assert load_target_dataset(path) == tgt
+    assert load_target_dataset(path, {m.name: m}) == tgt
 
 
 def test_load_source_rejects_empty(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
     with pytest.raises(EmptyDatasetError):
-        load_source_dataset(path)
+        load_source_dataset(path, {})
 
 
 def test_load_rejects_malformed_json(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"multimer": "m", "n": 3\n')
     with pytest.raises(MalformedRecordError, match="line 1"):
-        load_source_dataset(path)
+        load_source_dataset(path, {})
 
 
 def test_source_instance_graph_binds_features():
