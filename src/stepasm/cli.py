@@ -72,8 +72,8 @@ def cmd_gen_data(args):
         "target": os.path.join(args.out, "target.jsonl"),
     }
     datagen.save_multimers(paths["multimers"], multimers, seeds)
-    datagen.save_source_dataset(paths["source"], source)
-    datagen.save_target_dataset(paths["target"], target)
+    datagen.save_dataset(paths["source"], source)
+    datagen.save_dataset(paths["target"], target)
     split = datagen.split_by_scale(target)
     _write_json(os.path.join(args.out, "manifest.json"), {
         **_stamp(cfg),
@@ -112,13 +112,18 @@ def _load_frozen(path):
     return gin, head, prompts, meta
 
 
-def cmd_prompt_tune(args):
-    cfg = _load_run_config(args)
+def _load_target_items(args):
+    """Frozen encoder and head of ``--ckpt`` and the prompt items of ``--data``."""
     multimers = datagen.load_multimers(os.path.join(args.data, "multimers.jsonl"))
     instances = datagen.load_target_dataset(os.path.join(args.data, "target.jsonl"),
                                             multimers)
     gin, head, _, _ = _load_frozen(args.ckpt)
-    items = build_items(instances, multimers)
+    return gin, head, build_items(instances, multimers)
+
+
+def cmd_prompt_tune(args):
+    cfg = _load_run_config(args)
+    gin, head, items = _load_target_items(args)
     prompt, log = prompt_tune(items, gin, head, cfg.prompt_config())
     save_models(args.out, gin, head, prompts={"prompt": prompt},
                 meta={**_stamp(cfg), "stage": "prompt-tune"})
@@ -129,11 +134,7 @@ def cmd_prompt_tune(args):
 
 def cmd_meta_train(args):
     cfg = _load_run_config(args)
-    multimers = datagen.load_multimers(os.path.join(args.data, "multimers.jsonl"))
-    instances = datagen.load_target_dataset(os.path.join(args.data, "target.jsonl"),
-                                            multimers)
-    gin, head, _, _ = _load_frozen(args.ckpt)
-    items = build_items(instances, multimers)
+    gin, head, items = _load_target_items(args)
     pi_meta, pi_star, log = meta_prompt(
         items, gin, head, cfg.meta_config(), cfg.prompt_config()
     )
@@ -223,8 +224,11 @@ def cmd_enumerate_oracle(args):
 
 
 def cmd_grad_check(args):
-    worst = gradcheck(num_graphs=args.graphs, seed=args.seed or 0)
-    batched = batched_gradcheck(seed=args.seed or 0)
+    cfg = _load_run_config(args)
+    if args.graphs < 1:
+        raise ConfigError(f"--graphs must be positive, got {args.graphs}")
+    worst = gradcheck(num_graphs=args.graphs, seed=cfg.seed)
+    batched = batched_gradcheck(seed=cfg.seed)
     print(f"max relative error: single {worst:.3e}, batched {batched:.3e} "
           f"(tolerance {GRADCHECK_TOL:.0e})")
     if args.out:

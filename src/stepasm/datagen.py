@@ -116,23 +116,6 @@ def _chain_walk(rng, length, step=3.8, min_sep=3.0):
     return pos - pos.mean(axis=0)
 
 
-def _tree_parity(n, edges):
-    """0/1 class per node: parity of depth from node 0 along the tree."""
-    adj = {v: [] for v in range(n)}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    parity = {0: 0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in parity:
-                parity[w] = parity[v] ^ 1
-                stack.append(w)
-    return parity
-
-
 def _draw_sequence(rng, length, boost):
     weights = np.ones(len(STANDARD_RESIDUES))
     for aa in boost:
@@ -171,7 +154,22 @@ def gen_synthetic_multimer(n, seed, name=None):
         raise ValueError(f"chain count must be in {lo}..{hi}, got {n}")
     rng = as_rng(seed)
     tree = random_uca_edges(n, rng)
-    parity = _tree_parity(n, tree)
+    # depth-first layout order over the contact tree; the parity of a node's
+    # depth (0 acidic, 1 basic) sets its composition
+    adj = {v: [] for v in range(n)}
+    for a, b in tree:
+        adj[a].append(b)
+        adj[b].append(a)
+    order = []
+    parity = {0: 0}
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for w in sorted(adj[v], reverse=True):
+            if w not in parity:
+                parity[w] = parity[v] ^ 1
+                stack.append(w)
     lengths = [int(rng.integers(50, 121)) for _ in range(n)]
     sequences = [
         _draw_sequence(rng, lengths[i], _ACIDIC if parity[i] == 0 else _BASIC)
@@ -181,20 +179,6 @@ def gen_synthetic_multimer(n, seed, name=None):
     radii = [float(np.linalg.norm(w, axis=1).max()) for w in walks]
 
     # lay chains out along the contact tree; neighbors overlap, others pushed apart
-    adj = {v: [] for v in range(n)}
-    for a, b in tree:
-        adj[a].append(b)
-        adj[b].append(a)
-    order = []
-    visited = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for w in sorted(adj[v], reverse=True):
-            if w not in visited:
-                visited.add(w)
-                stack.append(w)
     centers = {0: np.zeros(3)}
     for v in order:
         for w in adj[v]:
@@ -481,7 +465,8 @@ def _load_dataset(path, multimers, make):
     return instances
 
 
-def save_source_dataset(path, instances):
+def save_dataset(path, instances):
+    """Source or target records, one JSON object per line."""
     save_jsonl(path, (asdict(i) for i in instances))
 
 
@@ -498,10 +483,6 @@ def load_source_dataset(path, multimers):
         return inst
 
     return _load_dataset(path, multimers, make)
-
-
-def save_target_dataset(path, instances):
-    save_jsonl(path, (asdict(i) for i in instances))
 
 
 def load_target_dataset(path, multimers):

@@ -16,15 +16,17 @@ from .nn.model import (
 from .nn.tensor import mae_loss
 from .graphs import random_uca_edges
 
+FD_STEP = 1e-5
 
-def central_diff_grad(f, x, eps=1e-5):
+
+def central_diff_grad(f, x):
     """Central finite-difference gradient of scalar f at x."""
     x = np.asarray(x, dtype=np.float64)
     g = np.zeros_like(x)
     for i in range(x.size):
         step = np.zeros_like(x)
-        step[i] = eps
-        g[i] = (f(x + step) - f(x - step)) / (2.0 * eps)
+        step[i] = FD_STEP
+        g[i] = (f(x + step) - f(x - step)) / (2.0 * FD_STEP)
     return g
 
 

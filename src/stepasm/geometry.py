@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import DegenerateGeometryError, LengthMismatchError
 
 # Rank threshold for the Kabsch covariance: second singular value below this
@@ -79,6 +78,44 @@ class RigidTransform:
         return RigidTransform(rot_inv, -rot_inv @ self.translation)
 
 
+def _kabsch_transform(reference, mobile):
+    """Least-squares rigid transform mapping ``mobile`` onto ``reference``.
+
+    Returns (rotation, translation, singular_values). The singular values of
+    the covariance are returned so the caller can detect rank deficiency; no
+    silent fixing happens here beyond the standard determinant correction.
+    """
+    n = reference.shape[0]
+    ref_centroid = np.sum(reference, axis=0) / n
+    mob_centroid = np.sum(mobile, axis=0) / n
+    ref_c = reference - ref_centroid
+    mob_c = mobile - mob_centroid
+    cov = mob_c.T @ ref_c
+    u, svals, vt = np.linalg.svd(cov)
+    sign = np.sign(np.linalg.det(vt.T @ u.T))
+    if sign == 0.0:
+        sign = 1.0
+    correction = np.eye(3)
+    correction[2, 2] = sign
+    rotation = vt.T @ correction @ u.T
+    translation = ref_centroid - rotation @ mob_centroid
+    return rotation, translation, svals
+
+
+def _superpose_metrics(pred, gt, d0):
+    """(TM with distance scale d0, RMSD) after superposing ``pred`` onto ``gt``.
+
+    Fused because assembly labelling evaluates it once per candidate graph.
+    """
+    rotation, translation, _ = _kabsch_transform(gt, pred)
+    moved = pred @ rotation.T + translation
+    diff = moved - gt
+    sq = np.sum(diff * diff, axis=1)
+    tm = np.mean(1.0 / (1.0 + sq / (d0 * d0)))
+    rmsd = np.sqrt(np.mean(sq))
+    return tm, rmsd
+
+
 def kabsch_align(reference, mobile):
     """Optimal rigid transform T minimizing RMSD(reference, T(mobile)).
 
@@ -92,7 +129,7 @@ def kabsch_align(reference, mobile):
     _check_same_length(ref, mob)
     if ref.shape[0] < 3:
         raise LengthMismatchError("kabsch_align needs at least 3 points")
-    rotation, translation, svals = kernels.kabsch_transform(ref, mob)
+    rotation, translation, svals = _kabsch_transform(ref, mob)
     scale = max(svals[0], 1e-30)
     if svals[1] / scale < _RANK_RTOL:
         raise DegenerateGeometryError(
@@ -122,7 +159,7 @@ def aligned_rmsd(pred, gt):
     p = as_coords(pred, "pred")
     g = as_coords(gt, "gt")
     _check_same_length(p, g)
-    _, value = kernels.superpose_metrics(p, g, 1.0)
+    _, value = _superpose_metrics(p, g, 1.0)
     return float(value)
 
 
@@ -140,7 +177,7 @@ def tm_score(pred, gt):
     _check_same_length(p, g)
     if p.shape[0] < 3:
         raise LengthMismatchError("tm_score needs at least 3 points")
-    tm, _ = kernels.superpose_metrics(p, g, tm_d0(p.shape[0]))
+    tm, _ = _superpose_metrics(p, g, tm_d0(p.shape[0]))
     return float(tm)
 
 
@@ -149,7 +186,7 @@ def superposed_scores(pred, gt):
     p = as_coords(pred, "pred")
     g = as_coords(gt, "gt")
     _check_same_length(p, g)
-    tm, rms = kernels.superpose_metrics(p, g, tm_d0(p.shape[0]))
+    tm, rms = _superpose_metrics(p, g, tm_d0(p.shape[0]))
     return float(tm), float(rms)
 
 

@@ -348,10 +348,8 @@ def assemble(graph, multimer):
     """Coordinates of every chain in ``graph.nodes`` after walking the tree.
 
     Output frame is the first-placed dimer's frame; compare via superposition.
+    A pair with no stored dimer raises MissingDimerError from the library.
     """
-    for a, b in graph.edges:
-        if not multimer.dimers.has(a, b):
-            raise MissingDimerError(f"no dimer stored for chain pair ({a}, {b})")
     if graph.n == 1:
         only = graph.nodes[0]
         return [multimer.chains[only].coords]

@@ -101,7 +101,10 @@ class DockingPath:
                 ) from None
             actions.append(action)
             probs.append(prob)
-        return cls(tuple(actions), tuple(probs))
+        try:
+            return cls(tuple(actions), tuple(probs))
+        except ValueError as exc:  # the actions do not form a tree
+            raise MalformedRecordError(f"not a docking path: {exc}") from None
 
 
 class ScoringPipeline:
@@ -262,6 +265,9 @@ def evaluate(predictions, ground_truths, names=None):
     if not predictions:
         raise LengthMismatchError("nothing to evaluate")
     names = names or [f"sample-{i}" for i in range(len(predictions))]
+    if len(names) != len(predictions):
+        raise LengthMismatchError(
+            f"{len(names)} names for {len(predictions)} samples")
     rows = []
     for name, pred, gt in zip(names, predictions, ground_truths):
         p = np.concatenate([np.asarray(c) for c in pred])

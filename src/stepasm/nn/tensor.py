@@ -10,6 +10,9 @@ import numpy as np
 
 from ..errors import DisconnectedLossError, LengthMismatchError, ShapeMismatchError
 
+# The probability losses clip predictions into [PROB_CLIP, 1 - PROB_CLIP].
+PROB_CLIP = 1e-6
+
 
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -196,15 +199,6 @@ def tensor_abs(a):
     return _make(np.abs(a.data), (a,), backward)
 
 
-def tensor_sum(a):
-    a = as_tensor(a)
-
-    def backward(g):
-        _accum(a, np.broadcast_to(g, a.data.shape).copy())
-
-    return _make(np.array(a.data.sum()), (a,), backward)
-
-
 def mean(a):
     a = as_tensor(a)
     n = a.data.size
@@ -303,7 +297,7 @@ def mae_loss(pred, target):
     return mean(tensor_abs(sub(pred, t)))
 
 
-def bce_loss(pred, target, eps=1e-6):
+def bce_loss(pred, target):
     """Mean binary cross-entropy; targets may be soft values in [0, 1].
 
     Probabilities are clipped away from {0, 1} so saturated predictions keep a
@@ -317,7 +311,7 @@ def bce_loss(pred, target, eps=1e-6):
             f"prediction count {pred.data.size} != target count {target.data.size}"
         )
     y = target.data.reshape(pred.data.shape)
-    p = np.clip(pred.data, eps, 1.0 - eps)
+    p = np.clip(pred.data, PROB_CLIP, 1.0 - PROB_CLIP)
     data = np.array(-np.mean(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
 
     def backward(g):
@@ -326,7 +320,7 @@ def bce_loss(pred, target, eps=1e-6):
     return _make(data, (pred,), backward)
 
 
-def listwise_loss(pred, target, groups, threshold, temperature, eps=1e-6):
+def listwise_loss(pred, target, groups, threshold, temperature):
     """Mean over groups of a softmax cross-entropy on the logits of pred (ListNet).
 
     Rows that share a value in ``groups`` are the candidates of one decision.
@@ -352,7 +346,7 @@ def listwise_loss(pred, target, groups, threshold, temperature, eps=1e-6):
         shifted = v - np.maximum.reduceat(v, starts)[seg]
         return shifted - np.log(np.add.reduceat(np.exp(shifted), starts))[seg]
 
-    p = np.clip(pred.data.ravel()[order], eps, 1.0 - eps)
+    p = np.clip(pred.data.ravel()[order], PROB_CLIP, 1.0 - PROB_CLIP)
     log_q = log_softmax(np.log(p) - np.log1p(-p))
     ys = y[order]
     good = (ys > threshold).astype(np.float64)

@@ -18,7 +18,7 @@ from .errors import (
     NodeCollisionError,
     ShapeMismatchError,
 )
-from .nn.model import MLPParams, gin_encode
+from .nn.model import MLPParams, forward_batch, gin_encode
 from .nn.tensor import (
     Tensor,
     as_tensor,
@@ -27,7 +27,6 @@ from .nn.tensor import (
     listwise_loss,
     mul,
     muls,
-    segment_sum,
     sigmoid,
     sub,
 )
@@ -228,8 +227,8 @@ def compute_node_embeddings(cond_graph, v_u, u_feature, gin):
 
 def _head_weight_rows(h_d, h_u, prompt):
     """Per-dimension attention weights, one row per instance (constant wrt π)."""
-    d_data = np.atleast_2d(h_d.data if isinstance(h_d, Tensor) else h_d)
-    u_data = np.atleast_2d(h_u.data if isinstance(h_u, Tensor) else h_u)
+    d_data = as_tensor(h_d).data
+    u_data = as_tensor(h_u).data
     weights = np.empty_like(d_data)
     blocks = prompt.head_blocks()
     scores = np.stack(
@@ -251,20 +250,19 @@ def prompt_embeddings(h_d, h_u, prompt, *, training=False, rng=None):
     """
     h_d = as_tensor(h_d)
     h_u = as_tensor(h_u)
-    d2 = Tensor(np.atleast_2d(h_d.data)) if h_d.data.ndim == 1 else h_d
-    u2 = Tensor(np.atleast_2d(h_u.data)) if h_u.data.ndim == 1 else h_u
-    if d2.data.shape != u2.data.shape or d2.data.shape[1] != prompt.dim:
+    shape = h_d.data.shape
+    if len(shape) != 2 or shape != h_u.data.shape or shape[1] != prompt.dim:
         raise ShapeMismatchError(
             f"query embeddings must be rows of width {prompt.dim}"
         )
     if prompt.multi_head:
-        w = Tensor(_head_weight_rows(d2, u2, prompt))
-        x_in = mul(u2, w)
-        y_in = mul(d2, w)
+        w = Tensor(_head_weight_rows(h_d, h_u, prompt))
+        x_in = mul(h_u, w)
+        y_in = mul(h_d, w)
     else:
         # softmax over the single scalar score H_d . H_u is identically 1
-        x_in = u2
-        y_in = d2
+        x_in = h_u
+        y_in = h_d
     h_x = prompt.transform(x_in, training=training, rng=rng)
     h_y = prompt.transform(y_in, training=training, rng=rng)
     return h_x, h_y
@@ -310,15 +308,11 @@ def score_paths(h_d, h_x, h_y, h_u, gin, head, *, training=False, rng=None):
     as one disjoint union and are sum-pooled per path before the head.
     """
     b = h_d.data.shape[0]
-    path_feats = concat_rows([h_d, h_x, h_y, h_u])  # rows grouped by role
-    path_edges = []
-    for i in range(b):
-        trip = ((i, b + i), (b + i, 2 * b + i), (2 * b + i, 3 * b + i))
-        path_edges.extend(trip)
+    path_feats = concat_rows([h_d, h_x, h_y, h_u])  # row i of role r at r * b + i
+    path_edges = [(r * b + i, s * b + i) for r, s in PROMPT_EDGES for i in range(b)]
     seg = np.tile(np.arange(b, dtype=np.intp), 4)
-    h2 = gin_encode(path_feats, path_edges, gin, training=training, rng=rng)
-    pooled = segment_sum(h2, seg, b)
-    return head.score(pooled, training=training, rng=rng, drop=gin.config.dropout)
+    return forward_batch(path_feats, path_edges, seg, b, gin, head,
+                         training=training, rng=rng)
 
 
 def score_candidates(chain_features, cond_nodes, cond_edges, pairs, gin, head, prompt):
@@ -358,9 +352,8 @@ def pipeline_forward(cond_graph, v_d, v_u, u_feature, gin, head, prompt):
     h_u = gather_rows(h, [rows[v_u]])
     h_x, h_y = prompt_embeddings(h_d, h_u, prompt)
     pg = build_prompt_graph(h_d, h_x, h_y, h_u)
-    h2 = gin_encode(pg.features, pg.edges, gin)
-    pooled = segment_sum(h2, np.zeros(4, dtype=np.intp), 1)
-    return float(head.score(pooled).data[0, 0])
+    out = forward_batch(pg.features, pg.edges, np.zeros(4, dtype=np.intp), 1, gin, head)
+    return float(out.data[0, 0])
 
 
 def prompt_tune(items, gin, head, cfg=None, init=None):

@@ -36,7 +36,8 @@ def group_split(group_keys, val_fraction, rng):
         return np.arange(len(group_keys)), np.zeros(0, dtype=np.intp)
     shuffled = list(groups)
     rng.shuffle(shuffled)
-    n_val = max(1, int(round(val_fraction * len(groups))))
+    # at least one group on each side
+    n_val = min(max(1, int(round(val_fraction * len(groups)))), len(groups) - 1)
     val_groups = set(shuffled[:n_val])
     keys = list(group_keys)
     train_idx = np.array([i for i, k in enumerate(keys) if k not in val_groups], dtype=np.intp)

@@ -193,6 +193,29 @@ def test_grad_check_cli(tmp_path, capsys):
     assert payload["batched"] < payload["tolerance"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["grad-check", "--seed", "-1"],
+    ["grad-check", "--graphs", "0"],
+], ids=["seed-negative", "graphs-zero"])
+def test_grad_check_rejects_bad_flags(argv, tmp_path, capsys):
+    out = tmp_path / "grad.json"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not out.exists()
+
+
+def test_pretrain_keeps_a_training_group_at_high_val_fraction(tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({
+        "data": {"counts": {"3": 2}, "samples_per_multimer": 4},
+        "pretrain": {"epochs": 2, "val_fraction": 0.9},
+    }))
+    data = tmp_path / "data"
+    assert cli.main(["gen-data", "--config", str(cfg_path), "--out", str(data)]) == 0
+    assert cli.main(["pretrain", "--config", str(cfg_path), "--data", str(data),
+                     "--out", str(tmp_path / "pre.npz")]) == 0
+
+
 def test_cli_reports_errors_as_json_on_stderr(tmp_path, capsys):
     missing = tmp_path / "nope.jsonl"
     missing.write_text("")

@@ -16,9 +16,8 @@ from stepasm.datagen import (
     make_target_dataset,
     multimer_from_dict,
     multimer_to_dict,
+    save_dataset,
     save_multimers,
-    save_source_dataset,
-    save_target_dataset,
     split_by_scale,
 )
 from stepasm.errors import EmptyDatasetError, MalformedRecordError
@@ -244,7 +243,7 @@ def test_source_file_roundtrip(tmp_path):
     ms = gen_multimer_set({3: 1}, seed=17)
     src = make_source_dataset(ms, 3, seed=18)
     path = tmp_path / "source.jsonl"
-    save_source_dataset(path, src)
+    save_dataset(path, src)
     assert load_source_dataset(path, {ms[0].name: ms[0]}) == src
 
 
@@ -252,7 +251,7 @@ def test_target_file_roundtrip(tmp_path):
     m = gen_synthetic_multimer(4, np.random.default_rng(19))
     tgt = make_target_dataset(m, np.random.default_rng(20))
     path = tmp_path / "target.jsonl"
-    save_target_dataset(path, tgt)
+    save_dataset(path, tgt)
     assert load_target_dataset(path, {m.name: m}) == tgt
 
 

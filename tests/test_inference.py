@@ -112,6 +112,16 @@ def test_docking_path_from_text_rejects_malformed_lines(line):
     assert str(info.value).startswith("line 3: ")
 
 
+@pytest.mark.parametrize("lines", [
+    "1\t0\t1\t0.5\n2\t1\t0\t0.5\n",  # one pair twice: a cycle
+    "1\t0\t3\t0.5\n",                    # a label outside the path's chains
+    "1\t1\t1\t0.5\n",                    # a self-loop
+], ids=["cycle", "label", "loop"])
+def test_docking_path_from_text_rejects_non_trees(lines):
+    with pytest.raises(MalformedRecordError, match="not a docking path"):
+        DockingPath.from_text(lines)
+
+
 @pytest.mark.parametrize("n", [5, 10, 20, 30])
 def test_per_step_eval_counts_match_closed_form(n):
     expect = expected_step_evals(n)
@@ -353,6 +363,9 @@ def test_evaluate_requires_matching_counts():
         evaluate([[np.zeros((3, 3))]], [])
     with pytest.raises(LengthMismatchError):
         evaluate([], [])
+    three = [[np.random.default_rng(i).normal(size=(5, 3))] for i in range(3)]
+    with pytest.raises(LengthMismatchError, match="1 names for 3 samples"):
+        evaluate(three, three, ["only-one"])
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ from stepasm.nn.tensor import (
     sigmoid,
     sub,
     tensor_abs,
-    tensor_sum,
 )
 from stepasm.training import TrainConfig, fit, group_split
 
@@ -64,7 +63,7 @@ def numeric_grad(f, x, eps=1e-6):
 
 
 @pytest.mark.parametrize("op", ["add", "sub", "mul", "matmul", "relu", "sigmoid",
-                                "abs", "sum", "mean", "adds", "muls", "gather",
+                                "abs", "mean", "adds", "muls", "gather",
                                 "concat", "neighbor", "segment", "listwise"])
 def test_op_gradients_match_finite_differences(op):
     rng = np.random.default_rng(hash(op) % 2**32)
@@ -87,8 +86,6 @@ def test_op_gradients_match_finite_differences(op):
             out = sigmoid(a)
         elif op == "abs":
             out = tensor_abs(a)
-        elif op == "sum":
-            return tensor_sum(a)
         elif op == "mean":
             return mean(a)
         elif op == "adds":
@@ -371,6 +368,14 @@ def test_group_split_keeps_groups_whole():
     train_groups = {keys[i] for i in tr}
     assert val_groups and not (val_groups & train_groups)
     assert len(tr) + len(va) == 20
+
+
+@pytest.mark.parametrize("groups,fraction,n_val", [(2, 0.9, 1), (3, 0.99, 2), (4, 0.5, 2)])
+def test_group_split_keeps_a_training_group(groups, fraction, n_val):
+    keys = [i % groups for i in range(4 * groups)]
+    tr, va = group_split(keys, fraction, np.random.default_rng(0))
+    assert len({keys[i] for i in va}) == n_val
+    assert len({keys[i] for i in tr}) == groups - n_val
 
 
 def test_fit_batches_keep_groups_whole():

@@ -1,5 +1,5 @@
-"""Property-based tests: tree checks, Prufer decoding, file round-trips, and
-malformed inputs reaching the CLI."""
+"""Property-based tests: tree checks, Prufer decoding, file round-trips,
+superposition invariants, and malformed inputs reaching the CLI."""
 
 import dataclasses
 import json
@@ -17,7 +17,22 @@ from stepasm.datagen import (
     multimer_to_dict,
     save_multimers,
 )
-from stepasm.graphs import edges_from_prufer, is_labeled_tree
+from stepasm.geometry import (
+    RigidTransform,
+    aligned_rmsd,
+    kabsch_align,
+    random_rotation,
+    rmsd,
+    superposed_scores,
+    tm_score,
+)
+from stepasm.graphs import (
+    DimerLibrary,
+    assembly_correctness,
+    edges_from_prufer,
+    is_labeled_tree,
+    random_uca_edges,
+)
 from stepasm.inference import DockingPath
 
 
@@ -109,6 +124,65 @@ def test_multimer_dict_roundtrip_through_json(n, seed):
     for a, b in m.dimers.pairs():
         assert all(np.array_equal(x, y)
                    for x, y in zip(back.dimers.get(a, b), m.dimers.get(a, b)))
+
+
+# ---------------------------------------------------------------------------
+# superposition: rigid-motion invariance, Kabsch optimality, placement
+# equivariance
+
+
+def rigid_motion(rng, spread=30.0):
+    return RigidTransform(random_rotation(rng), rng.normal(scale=spread, size=3))
+
+
+@st.composite
+def noisy_pairs(draw):
+    """(pred, gt, rng): gt a random cloud, pred gt plus noise in its own frame."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 80))
+    gt = rng.normal(scale=12.0, size=(n, 3))
+    noisy = gt + rng.normal(scale=draw(st.floats(0.0, 8.0)), size=gt.shape)
+    return rigid_motion(rng).apply(noisy), gt, rng
+
+
+@given(noisy_pairs())
+@settings(max_examples=30, deadline=None)
+def test_scores_invariant_under_rigid_motion(case):
+    pred, gt, rng = case
+    tm, rms = tm_score(pred, gt), aligned_rmsd(pred, gt)
+    for a, b in ((rigid_motion(rng).apply(pred), gt), (pred, rigid_motion(rng).apply(gt))):
+        assert tm_score(a, b) == pytest.approx(tm, abs=1e-9)
+        assert aligned_rmsd(a, b) == pytest.approx(rms, abs=1e-9)
+        assert superposed_scores(a, b) == pytest.approx((tm, rms), abs=1e-9)
+
+
+@given(noisy_pairs(), st.floats(1e-3, np.pi), st.floats(0.0, 2.0))
+@settings(max_examples=30, deadline=None)
+def test_kabsch_is_optimal(case, angle, shift):
+    pred, gt, rng = case
+    t = kabsch_align(gt, pred)
+    best = rmsd(gt, t.apply(pred))
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    k = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]],
+                  [-axis[1], axis[0], 0.0]])
+    turn = np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+    worse = RigidTransform(turn @ t.rotation, t.translation + shift * rng.normal(size=3))
+    assert rmsd(gt, worse.apply(pred)) >= best - 1e-9
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=15, deadline=None)
+def test_placement_equivariant_to_moving_each_dimer(m5, seed):
+    rng = np.random.default_rng(seed)
+    graph = m5.graph_over(random_uca_edges(m5.n, rng))
+    moved = DimerLibrary()
+    for a, b in m5.dimers.pairs():
+        motion = rigid_motion(rng)
+        moved.add(a, b, *(motion.apply(x) for x in m5.dimers.get(a, b)))
+    tm = assembly_correctness(graph, m5)
+    assert assembly_correctness(graph, dataclasses.replace(m5, dimers=moved)) == (
+        pytest.approx(tm, abs=1e-9))
 
 
 # ---------------------------------------------------------------------------
