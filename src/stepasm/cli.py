@@ -232,7 +232,7 @@ def cmd_grad_check(args):
     print(f"max relative error: single {worst:.3e}, batched {batched:.3e} "
           f"(tolerance {GRADCHECK_TOL:.0e})")
     if args.out:
-        _write_json(args.out, {"single": worst, "batched": batched,
+        _write_json(args.out, {**_stamp(cfg), "single": worst, "batched": batched,
                                "tolerance": GRADCHECK_TOL})
     return 0 if max(worst, batched) < GRADCHECK_TOL else 1
 

@@ -16,12 +16,9 @@ from .datagen import split_by_scale
 from .errors import EmptyDatasetError, InsufficientDataError
 from .nn.model import flatten_named, grad_vector, load_vector
 from .nn.tensor import bce_loss
-from .prompt import (
-    PromptParams,
-    PromptTuneConfig,
-    pipeline_forward_batch,
-    query_embeddings,
-)
+from .prompt import PromptParams, PromptTuneConfig, query_embeddings, query_rows, score_rows
+# not called here; kept because perfbench/spans.py patches this name
+from .prompt import pipeline_forward_batch  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -77,7 +74,9 @@ def prompt_objective(items, gin, head, template):
     """VectorObjective over prompt-MLP weights: tuning loss of the pipeline.
 
     ``template`` supplies architecture and receives the vector on every call;
-    forwards run in evaluation mode so the objective is deterministic.
+    forwards run in evaluation mode so the objective is deterministic. The
+    frozen encoder's stage-1 rows are therefore constants: they are encoded
+    once, here, and each call runs only the prompt MLP and stage 2.
     """
     gin.set_trainable(False)
     head.set_trainable(False)
@@ -88,11 +87,11 @@ def prompt_objective(items, gin, head, template):
     named = work.trainable_named()
     vec0, layout = flatten_named(named)
     labels = np.array([it.y for it in items])
+    h, d_rows, u_rows = query_embeddings(items, gin)
 
     def run(vec, idx, want_grad):
         load_vector(named, layout, vec)
-        subset = [items[i] for i in idx]
-        pred = pipeline_forward_batch(subset, gin, head, work)
+        pred = score_rows(h, d_rows[idx], u_rows[idx], gin, head, work)
         loss = bce_loss(pred, labels[idx])
         if not want_grad:
             return float(loss.data)
@@ -228,8 +227,7 @@ def meta_prompt(items, gin, head, meta_cfg=None, tune_cfg=None):
     )
     gin.set_trainable(False)
     head.set_trainable(False)
-    h_d, h_u = query_embeddings(items, gin)
-    template.standardize_from(np.concatenate([h_d.data, h_u.data], axis=0))
+    template.standardize_from(query_rows(items, gin))
     objective, vec0, layout = prompt_objective(small, gin, head, template)
     vec_meta, log = meta_initialize(objective, vec0, meta_cfg)
     pi_meta = template.copy()

@@ -24,6 +24,10 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        # per-parameter scratch, so a step allocates no temporaries
+        self._scratch = {
+            k: (np.empty_like(p.data), np.empty_like(p.data)) for k, p in self.params.items()
+        }
 
     def zero_grad(self):
         for p in self.params.values():
@@ -43,8 +47,21 @@ class Adam:
                 )
             m = self.m[name]
             v = self.v[name]
+            a, b = self._scratch[name]
+            # the textbook update, operation for operation:
+            # m = BETA1 m + (1 - BETA1) g;  v = BETA2 v + (1 - BETA2) g g;
+            # p -= lr (m / bc1) / (sqrt(v / bc2) + EPS)
+            np.multiply(g, 1.0 - BETA1, out=a)
             m *= BETA1
-            m += (1.0 - BETA1) * g
+            m += a
+            np.multiply(g, 1.0 - BETA2, out=a)
+            a *= g
             v *= BETA2
-            v += (1.0 - BETA2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+            v += a
+            np.divide(v, bc2, out=a)
+            np.sqrt(a, out=a)
+            a += EPS
+            np.divide(m, bc1, out=b)
+            b *= self.lr
+            b /= a
+            p.data -= b

@@ -80,8 +80,10 @@ def _accum(t, g):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # a fresh array with the bits of zeros + g (-0.0 becomes +0.0)
+        t.grad = g + 0.0
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g, shape):
@@ -158,8 +160,12 @@ def matmul(a, b):
     data = a.data @ b.data
 
     def backward(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        # a frozen operand needs no product; the prompt path runs through
+        # frozen encoder weights
+        if a.requires_grad:
+            _accum(a, g @ b.data.T)
+        if b.requires_grad:
+            _accum(b, a.data.T @ g)
 
     return _make(data, (a, b), backward)
 

@@ -163,11 +163,18 @@ def build_prompt_graph(h_d, h_x, h_y, h_u):
 
 @dataclass(frozen=True)
 class PromptItem:
-    """One docking action prepared for the pipeline: condition + query features."""
+    """One docking action prepared for the pipeline: condition + query features.
+
+    ``multimer`` with ``cond_nodes`` and ``cond_edges`` names the condition
+    graph, and with ``v_u`` the candidate chain, so a batch that shares them
+    encodes each once.
+    """
 
     cond_features: np.ndarray
+    cond_nodes: tuple
     cond_edges: tuple
     d_local: int
+    v_u: int
     u_feature: np.ndarray
     y: float
     multimer: str
@@ -196,8 +203,10 @@ def build_items(instances, multimers):
         items.append(
             PromptItem(
                 cond_features=cond.attrs,
+                cond_nodes=cond.nodes,
                 cond_edges=cond.local_edges(),
                 d_local=cond.nodes.index(inst.v_d),
+                v_u=inst.v_u,
                 u_feature=m.chain_features[inst.v_u],
                 y=inst.y,
                 multimer=inst.multimer,
@@ -269,35 +278,77 @@ def prompt_embeddings(h_d, h_u, prompt, *, training=False, rng=None):
 
 
 def query_embeddings(items, gin, *, training=False, rng=None):
-    """(h_d, h_u) rows for a batch of docking actions, one encoder pass.
+    """Stage 1 for a batch of docking actions: (h, d_rows, u_rows).
 
-    Every condition graph plus its isolated candidate chain goes through the
-    encoder as one disjoint union; the rows of v_d and v_u come back out.
+    One encoder pass over a disjoint union holding each distinct condition
+    graph and each distinct candidate chain of the batch once; item i's h_d
+    and h_u are rows d_rows[i] and u_rows[i] of h. Graphs are told apart by
+    identity (multimer, chain labels, edges), never by feature values. A
+    candidate is an isolated chain, which encodes exactly as the singleton
+    condition graph over that chain, so the two share one key and one row.
     """
     if not items:
         raise EmptyDatasetError("no items to score")
-    feats, edges, d_rows, u_rows = [], [], [], []
+    starts, feats, edges = {}, [], []
     offset = 0
-    for it in items:
-        k = it.cond_features.shape[0]
-        feats.append(it.cond_features)
-        feats.append(np.asarray(it.u_feature, dtype=np.float64)[None, :])
-        edges.extend((a + offset, b + offset) for a, b in it.cond_edges)
-        d_rows.append(offset + it.d_local)
-        u_rows.append(offset + k)
-        offset += k + 1
+
+    def first_row(key, features, local_edges):
+        nonlocal offset
+        if key not in starts:
+            starts[key] = offset
+            feats.append(features)
+            edges.extend((a + offset, b + offset) for a, b in local_edges)
+            offset += features.shape[0]
+        return starts[key]
+
+    d_rows = np.empty(len(items), dtype=np.intp)
+    u_rows = np.empty(len(items), dtype=np.intp)
+    for i, it in enumerate(items):
+        d_rows[i] = it.d_local + first_row(
+            (it.multimer, it.cond_nodes, it.cond_edges), it.cond_features, it.cond_edges)
+        u_rows[i] = first_row(
+            (it.multimer, (it.v_u,), ()),
+            np.asarray(it.u_feature, dtype=np.float64)[None, :], ())
     h = gin_encode(np.concatenate(feats, axis=0), edges, gin, training=training, rng=rng)
-    return gather_rows(h, d_rows), gather_rows(h, u_rows)
+    return h, d_rows, u_rows
+
+
+def query_rows(items, gin):
+    """The (2B, d) eval-mode query rows, h_d of every item then h_u, as the
+    prompt's input whitening is fit on them."""
+    h, d_rows, u_rows = query_embeddings(items, gin)
+    return h.data[np.concatenate([d_rows, u_rows])]
 
 
 def pipeline_forward_batch(items, gin, head, prompt, *, training=False, rng=None):
     """(B, 1) linking probabilities for a batch of docking actions.
 
-    Stage 1 encodes every condition graph (plus its isolated candidate) as one
-    disjoint union; stage 2 scores all B prompt paths the same way.
+    Stage 1 encodes each distinct condition graph and candidate chain once
+    (query_embeddings); score_rows runs the prompt MLP and stage 2.
     """
-    h_d, h_u = query_embeddings(items, gin, training=training, rng=rng)
-    h_x, h_y = prompt_embeddings(h_d, h_u, prompt, training=training, rng=rng)
+    h, d_rows, u_rows = query_embeddings(items, gin, training=training, rng=rng)
+    return score_rows(h, d_rows, u_rows, gin, head, prompt, training=training, rng=rng)
+
+
+def score_rows(h, d_rows, u_rows, gin, head, prompt, *, training=False, rng=None):
+    """(B, 1) probabilities of B actions whose h_d and h_u are rows of h.
+
+    In single-head mode h_x = T(h_u) and h_y = T(h_d), so the prompt MLP T
+    runs once per distinct row of h that some action uses, and its rows are
+    gathered into the B prompt paths; with dropout on, the actions that share
+    a row share its dropout mask. Stage 2 runs per action.
+    """
+    d_rows = np.asarray(d_rows, dtype=np.intp)
+    u_rows = np.asarray(u_rows, dtype=np.intp)
+    h_d, h_u = gather_rows(h, d_rows), gather_rows(h, u_rows)
+    if prompt.multi_head:
+        # the attention weights depend on the pair, so the MLP input does too
+        h_x, h_y = prompt_embeddings(h_d, h_u, prompt, training=training, rng=rng)
+    else:
+        used, where = np.unique(np.concatenate([d_rows, u_rows]), return_inverse=True)
+        t = prompt.transform(gather_rows(h, used), training=training, rng=rng)
+        b = d_rows.size
+        h_x, h_y = gather_rows(t, where[b:]), gather_rows(t, where[:b])
     return score_paths(h_d, h_x, h_y, h_u, gin, head, training=training, rng=rng)
 
 
@@ -321,9 +372,8 @@ def score_candidates(chain_features, cond_nodes, cond_edges, pairs, gin, head, p
     Equal to ``pipeline_forward`` per pair up to rounding, at a cost of one
     encoder row per condition node and per distinct candidate: each v_u is an
     isolated chain, so one encoder pass over the condition graph plus the
-    candidates gives every h_d and h_u. In single-head mode h_x = T(h_u) and
-    h_y = T(h_d), so the prompt MLP T also runs once per distinct row; only
-    stage 2 runs per pair.
+    candidates gives every h_d and h_u. score_rows then runs the prompt MLP
+    on those distinct rows and stage 2 per pair.
     """
     nodes = sorted(cond_nodes)
     cands = sorted({u for _, u in pairs})
@@ -333,14 +383,7 @@ def score_candidates(chain_features, cond_nodes, cond_edges, pairs, gin, head, p
     h = gin_encode(chain_features[nodes + cands], local, gin)
     d_rows = [pos[d] for d, _ in pairs]
     u_rows = [pos_u[u] for _, u in pairs]
-    h_d, h_u = gather_rows(h, d_rows), gather_rows(h, u_rows)
-    if prompt.multi_head:
-        # the attention weights depend on the pair, so the MLP input does too
-        h_x, h_y = prompt_embeddings(h_d, h_u, prompt)
-    else:
-        t = prompt.transform(h)
-        h_x, h_y = gather_rows(t, u_rows), gather_rows(t, d_rows)
-    return score_paths(h_d, h_x, h_y, h_u, gin, head).data.ravel()
+    return score_rows(h, d_rows, u_rows, gin, head, prompt).data.ravel()
 
 
 def pipeline_forward(cond_graph, v_d, v_u, u_feature, gin, head, prompt):
@@ -364,6 +407,15 @@ def prompt_tune(items, gin, head, cfg=None, init=None):
     Minibatches hold whole decisions (items of equal ``decision``), and the
     descent loss is cfg.train.loss plus LISTWISE_WEIGHT times the listwise
     loss over each decision's candidates.
+
+    Each minibatch encodes its distinct condition graphs and candidate chains
+    once and runs the prompt MLP once per distinct row (pipeline_forward_batch).
+    With dropout on, in the encoder or in the MLP, the actions of a minibatch
+    that share such a row therefore share one dropout mask on it, where a
+    per-action pass would draw one mask per action; stage 2 still draws per
+    action. This is by design: it keeps training on the same distinct-row path
+    as inference, and at dropout 0 it is exact. Its measured effect on a
+    CLI-default run is in CHANGES.md.
     """
     cfg = cfg or PromptTuneConfig()
     if not items:
@@ -377,8 +429,7 @@ def prompt_tune(items, gin, head, cfg=None, init=None):
             gin.config.input_dim, cfg.mlp_hidden, [cfg.seed, 20],
             heads=cfg.heads, multi_head=cfg.multi_head, dropout=cfg.dropout,
         )
-        h_d, h_u = query_embeddings(items, gin)
-        prompt.standardize_from(np.concatenate([h_d.data, h_u.data], axis=0))
+        prompt.standardize_from(query_rows(items, gin))
 
     def forward(indices, training, rng):
         return pipeline_forward_batch(

@@ -193,6 +193,18 @@ def test_grad_check_cli(tmp_path, capsys):
     assert payload["batched"] < payload["tolerance"]
 
 
+def test_grad_check_report_carries_config_hash_and_seed(tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(TINY_CONFIG))
+    out = tmp_path / "grad.json"
+    assert cli.main(["grad-check", "--graphs", "1", "--config", str(cfg_path),
+                     "--seed", "5", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["seed"] == 5
+    assert payload["config_hash"] == config_hash(
+        config_from_dict({"seed": 5}, load_config(cfg_path)))
+
+
 @pytest.mark.parametrize("argv", [
     ["grad-check", "--seed", "-1"],
     ["grad-check", "--graphs", "0"],

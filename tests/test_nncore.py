@@ -225,6 +225,21 @@ def test_two_node_graph_nodes_distinguishable(seed):
     assert np.linalg.norm(h0[0] - h0[1]) < 1e-12
 
 
+@pytest.mark.parametrize("frozen", ["a", "b"])
+def test_matmul_skips_the_product_of_a_frozen_operand(frozen):
+    rng = np.random.default_rng(12)
+    a_data, b_data = rng.normal(size=(5, 3)), rng.normal(size=(3, 4))
+    a = Tensor(a_data, requires_grad=frozen != "a")
+    b = Tensor(b_data, requires_grad=frozen != "b")
+    seed = rng.normal(size=(5, 4))
+    matmul(a, b).backward(seed)
+    frozen_t, trained = (a, b) if frozen == "a" else (b, a)
+    assert frozen_t.grad is None
+    # the trainable operand gets the product the full backward computed
+    want = a_data.T @ seed if frozen == "a" else seed @ b_data.T
+    assert np.array_equal(trained.grad, np.zeros_like(want) + want)
+
+
 def test_adam_first_step_closed_form():
     # after one step with constant grad g: m_hat = g, v_hat = g^2,
     # update = -lr * g / (|g| + eps) = -lr * sign(g) (approx)

@@ -3,15 +3,17 @@
 import numpy as np
 import pytest
 
-from stepasm.datagen import gen_synthetic_multimer, make_target_dataset
+from stepasm.datagen import KEEP_THRESHOLD, gen_synthetic_multimer, make_target_dataset
 from stepasm.errors import (
     EmptyDatasetError,
     NodeCollisionError,
     ShapeMismatchError,
 )
-from stepasm.nn.model import GINConfig, GINParams, TaskHeadParams, params_hash
-from stepasm.nn.tensor import Tensor
+from stepasm.nn.model import GINConfig, GINParams, TaskHeadParams, gin_encode, params_hash
+from stepasm.nn.tensor import Tensor, add, bce_loss, gather_rows, listwise_loss, muls
 from stepasm.prompt import (
+    LISTWISE_TEMPERATURE,
+    LISTWISE_WEIGHT,
     OUTPUT_SCALE,
     PROMPT_EDGES,
     PromptGraph,
@@ -27,6 +29,7 @@ from stepasm.prompt import (
     prompt_embeddings,
     prompt_tune,
     query_embeddings,
+    score_paths,
 )
 from stepasm.training import TrainConfig
 
@@ -162,12 +165,12 @@ def test_compute_node_embeddings_rejects_docked_candidate(setup):
 
 def test_query_embeddings_match_single_item_path(setup):
     m, _, instances, gin, _, items = setup
-    h_d, h_u = query_embeddings(items[:6], gin)
+    h, d_rows, u_rows = query_embeddings(items[:6], gin)
     for i, (inst, it) in enumerate(zip(instances[:6], items[:6])):
         cond = inst.condition(m)
-        h, rows = compute_node_embeddings(cond, inst.v_u, it.u_feature, gin)
-        assert np.allclose(h_d.data[i], h.data[rows[inst.v_d]], atol=1e-12)
-        assert np.allclose(h_u.data[i], h.data[rows[inst.v_u]], atol=1e-12)
+        one, rows = compute_node_embeddings(cond, inst.v_u, it.u_feature, gin)
+        assert np.allclose(h.data[d_rows[i]], one.data[rows[inst.v_d]], atol=1e-12)
+        assert np.allclose(h.data[u_rows[i]], one.data[rows[inst.v_u]], atol=1e-12)
 
 
 def test_middle_nodes_swap_their_sources():
@@ -234,6 +237,84 @@ def test_batched_pipeline_matches_single(setup):
             m.chain_features[inst.v_u], gin, head, prompt,
         )
         assert batch[i] == pytest.approx(one, abs=1e-10)
+
+
+def per_item_forward(items, gin, head, prompt, *, training=False, rng=None):
+    """Reference: each item's condition graph and candidate get rows of their
+    own, and the prompt MLP runs on both query rows of every item."""
+    feats, edges, d_rows, u_rows = [], [], [], []
+    offset = 0
+    for it in items:
+        k = it.cond_features.shape[0]
+        feats += [it.cond_features, np.asarray(it.u_feature)[None, :]]
+        edges.extend((a + offset, b + offset) for a, b in it.cond_edges)
+        d_rows.append(offset + it.d_local)
+        u_rows.append(offset + k)
+        offset += k + 1
+    h = gin_encode(np.concatenate(feats), edges, gin, training=training, rng=rng)
+    h_d, h_u = gather_rows(h, d_rows), gather_rows(h, u_rows)
+    h_x, h_y = prompt_embeddings(h_d, h_u, prompt, training=training, rng=rng)
+    return score_paths(h_d, h_x, h_y, h_u, gin, head, training=training, rng=rng)
+
+
+def _row_keys(items):
+    """Identity of every query row: (multimer, condition graph, node); a
+    candidate is the singleton graph over its chain."""
+    keys = set()
+    for it in items:
+        keys.add((it.multimer, it.cond_nodes, it.cond_edges, it.cond_nodes[it.d_local]))
+        keys.add((it.multimer, (it.v_u,), (), it.v_u))
+    return keys
+
+
+def _tuning_grads(forward, items, gin, head, prompt):
+    ids = {}
+    groups = [ids.setdefault(it.decision, len(ids)) for it in items]
+    labels = np.array([it.y for it in items])
+    pred = forward(items, gin, head, prompt, training=True, rng=np.random.default_rng(0))
+    loss = add(bce_loss(pred, labels), muls(listwise_loss(
+        pred, labels, groups, KEEP_THRESHOLD, LISTWISE_TEMPERATURE), LISTWISE_WEIGHT))
+    for t in prompt.trainable_named().values():
+        t.grad = None
+    loss.backward()
+    return {k: t.grad.copy() for k, t in prompt.trainable_named().items()}
+
+
+def test_repeated_rows_predict_as_the_per_item_reference(setup):
+    *_, gin, head, items = setup
+    assert len(_row_keys(items)) < 2 * len(items)  # the batch repeats rows
+    prompt = _fresh_prompt()
+    got = pipeline_forward_batch(items, gin, head, prompt).data
+    assert np.array_equal(got, per_item_forward(items, gin, head, prompt).data)
+
+
+def test_repeated_rows_give_the_per_item_gradients(setup):
+    *_, gin, head, items = setup
+    prompt = _fresh_prompt()
+    got = _tuning_grads(pipeline_forward_batch, items, gin, head, prompt)
+    want = _tuning_grads(per_item_forward, items, gin, head, prompt)
+    for name, g in want.items():
+        assert np.linalg.norm(got[name] - g) <= 1e-12 * np.linalg.norm(g), name
+
+
+def test_prompt_mlp_sees_each_distinct_row_once(setup, monkeypatch):
+    *_, gin, head, items = setup
+    prompt = _fresh_prompt()
+    seen = []
+    transform = PromptParams.transform
+
+    def counting(self, x, **kwargs):
+        seen.append(x.data.shape[0])
+        return transform(self, x, **kwargs)
+
+    monkeypatch.setattr(PromptParams, "transform", counting)
+    pipeline_forward_batch(items, gin, head, prompt)
+    assert seen == [len(_row_keys(items))]
+    # the encoder, too, sees each distinct condition graph and candidate once
+    graphs = {(it.multimer, it.cond_nodes, it.cond_edges) for it in items}
+    graphs |= {(it.multimer, (it.v_u,), ()) for it in items}
+    h, _, _ = query_embeddings(items, gin)
+    assert h.data.shape[0] == sum(len(nodes) for _, nodes, _ in graphs)
 
 
 def test_standardize_from_sets_whitening_buffers():

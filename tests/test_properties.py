@@ -34,6 +34,8 @@ from stepasm.graphs import (
     random_uca_edges,
 )
 from stepasm.inference import DockingPath
+from stepasm.nn.optim import BETA1, BETA2, EPS, Adam
+from stepasm.nn.tensor import Tensor
 
 
 def bfs_connected(nodes, edges):
@@ -266,3 +268,43 @@ def test_truncated_checkpoint_exits_cleanly(infer_inputs, tmp_path_factory, caps
     ckpt.write_bytes(blob[: cut % len(blob)])
     _assert_clean_exit(["infer", "--multimers", str(root / "multimers.jsonl"),
                         "--ckpt", str(ckpt), "--out", str(ckpt.parent / "pred")], capsys)
+
+
+def textbook_adam(params, grads, lr):
+    """Reference: the Adam update written out, one fresh array per operation."""
+    m = {k: np.zeros_like(v) for k, v in params.items()}
+    v = {k: np.zeros_like(x) for k, x in params.items()}
+    params = {k: x.copy() for k, x in params.items()}
+    for t, step in enumerate(grads, start=1):
+        bc1 = 1.0 - BETA1**t
+        bc2 = 1.0 - BETA2**t
+        for k, g in step.items():
+            if g is None:
+                g = np.zeros_like(params[k])
+            m[k] = BETA1 * m[k] + (1.0 - BETA1) * g
+            v[k] = BETA2 * v[k] + (1.0 - BETA2) * g * g
+            params[k] = params[k] - lr * (m[k] / bc1) / (np.sqrt(v[k] / bc2) + EPS)
+    return params
+
+
+@given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 6),
+       lr=st.floats(1e-5, 1.0), scale=st.sampled_from([1e-9, 1e-3, 1.0, 1e3]))
+@settings(max_examples=40, deadline=None)
+def test_adam_in_place_step_equals_textbook_update(seed, steps, lr, scale):
+    rng = np.random.default_rng(seed)
+    shapes = {"w": (3, 4), "b": (4,), "eps": ()}
+    start = {k: rng.normal(size=s) for k, s in shapes.items()}
+    grads = [
+        {k: None if rng.random() < 0.2 else rng.normal(size=s) * scale
+         for k, s in shapes.items()}
+        for _ in range(steps)
+    ]
+    params = {k: Tensor(x.copy(), requires_grad=True) for k, x in start.items()}
+    opt = Adam(params, lr=lr)
+    for step in grads:
+        for k, g in step.items():
+            params[k].grad = g
+        opt.step()
+    want = textbook_adam(start, grads, lr)
+    for k in shapes:
+        assert np.asarray(params[k].data).tobytes() == np.asarray(want[k]).tobytes(), k
