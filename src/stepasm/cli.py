@@ -147,14 +147,12 @@ def cmd_meta_train(args):
 
 
 def _pick_multimer(path, name):
-    multimers = datagen.load_multimers(path)
-    if not multimers:
-        raise ConfigError(f"{path}: no multimers")
-    if name is None:
-        name = next(iter(multimers))
-    if name not in multimers:
-        raise ConfigError(f"multimer {name!r} not in {sorted(multimers)}")
-    return multimers[name]
+    """``datagen.load_multimer``, with a missing record as a ConfigError."""
+    m = datagen.load_multimer(path, name)
+    if m is None:
+        raise ConfigError(f"{path}: no multimers" if name is None
+                          else f"multimer {name!r} not in {path}")
+    return m
 
 
 def cmd_infer(args):

@@ -25,11 +25,13 @@ from .graphs import (
     ChainStructure,
     DimerLibrary,
     Multimer,
+    Oracle,
     as_rng,
-    assembly_correctness,
     canonical_edges,
     random_uca_edges,
 )
+# not called here; kept because perfbench/spans.py patches this name
+from .graphs import assembly_correctness  # noqa: F401
 
 GENERATOR_VERSION = 1
 KEEP_THRESHOLD = 0.99
@@ -259,14 +261,11 @@ def make_source_dataset(multimers, samples_per_multimer, seed):
                 f"{m.name}: pre-training data restricted to {lo} <= N <= {hi}, got {m.n}"
             )
         rng = np.random.default_rng([seed, idx])
-        seen = set()
-        for _ in range(samples_per_multimer):
-            edges = random_uca_edges(m.n, rng)
-            if edges in seen:
-                continue
-            seen.add(edges)
-            y = assembly_correctness(AssemblyGraph.over(m.n, edges), m)
-            out.append(SourceInstance(multimer=m.name, n=m.n, edges=edges, y=y))
+        trees = list(dict.fromkeys(
+            random_uca_edges(m.n, rng) for _ in range(samples_per_multimer)))
+        labels = Oracle(m).scores([AssemblyGraph.over(m.n, edges) for edges in trees])
+        out.extend(SourceInstance(multimer=m.name, n=m.n, edges=edges, y=y)
+                   for edges, y in zip(trees, labels))
     return out
 
 
@@ -321,27 +320,33 @@ def make_target_dataset(multimer, seed, starts=1):
         conditions.append(cond)
         seen_conditions.add(cond.key())
     retained = list(conditions)
-    score_cache = {}
+    oracle = Oracle(multimer)
+    labels = {}
 
-    def correctness(ext):
-        key = ext.key()
-        if key not in score_cache:
-            score_cache[key] = assembly_correctness(ext, multimer)
-        return score_cache[key]
+    def extensions(conds):
+        """Every docking action on ``conds``, each extension labelled; the
+        extensions not labelled before are scored in one batch."""
+        actions = [(cond, v_d, v_u, ext)
+                   for cond in conds for v_d, v_u, ext in _extensions(multimer, cond)]
+        fresh = {}
+        for *_, ext in actions:
+            if ext.key() not in labels:
+                fresh.setdefault(ext.key(), ext)
+        labels.update(zip(fresh, oracle.scores(list(fresh.values()))))
+        return [(cond, v_d, v_u, ext, labels[ext.key()])
+                for cond, v_d, v_u, ext in actions]
 
     for size in range(1, multimer.n - 1):
         grown = []
         best_below = None
-        for cond in conditions:
-            for v_d, v_u, ext in _extensions(multimer, cond):
-                y = correctness(ext)
-                if y > KEEP_THRESHOLD:
-                    emit(cond, v_d, v_u, y)
-                    if ext.key() not in seen_conditions:
-                        seen_conditions.add(ext.key())
-                        grown.append((y, ext, (cond, v_d, v_u)))
-                elif best_below is None or y > best_below[0]:
-                    best_below = (y, ext, (cond, v_d, v_u))
+        for cond, v_d, v_u, ext, y in extensions(conditions):
+            if y > KEEP_THRESHOLD:
+                emit(cond, v_d, v_u, y)
+                if ext.key() not in seen_conditions:
+                    seen_conditions.add(ext.key())
+                    grown.append((y, ext, (cond, v_d, v_u)))
+            elif best_below is None or y > best_below[0]:
+                best_below = (y, ext, (cond, v_d, v_u))
         if not grown:
             # dead end: push through the least-bad extension so growth continues
             y, ext, (cond, v_d, v_u) = best_below
@@ -358,9 +363,8 @@ def make_target_dataset(multimer, seed, starts=1):
 
     # final sweep: every retained condition, every extension, true labels —
     # this is where wrong actions (low y) enter the dataset
-    for cond in retained:
-        for v_d, v_u, ext in _extensions(multimer, cond):
-            emit(cond, v_d, v_u, correctness(ext))
+    for cond, v_d, v_u, _, y in extensions(retained):
+        emit(cond, v_d, v_u, y)
     return records
 
 
@@ -418,27 +422,36 @@ def save_jsonl(path, dicts):
     atomic_write_text(path, text)
 
 
+def _decoded(line, lineno):
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise MalformedRecordError(f"bad JSON record: {exc}", lineno) from None
+
+
+def _converted(convert, record, lineno):
+    try:
+        return convert(record)
+    except (StepasmError, KeyError, IndexError, TypeError, ValueError,
+            AttributeError) as exc:
+        raise MalformedRecordError(
+            f"bad record: {type(exc).__name__}: {exc}", lineno) from None
+
+
+def _records(path):
+    """(line number, line) for each non-blank line of ``path``."""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                yield lineno, line
+
+
 def _load_records(path, convert):
     """``convert(record)`` for each JSON line of ``path``. A line that is not
     JSON, or whose record ``convert`` rejects, raises MalformedRecordError
     with its line number."""
-    out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecordError(f"bad JSON record: {exc}", lineno) from None
-            try:
-                out.append(convert(record))
-            except (StepasmError, KeyError, IndexError, TypeError, ValueError,
-                    AttributeError) as exc:
-                raise MalformedRecordError(
-                    f"bad record: {type(exc).__name__}: {exc}", lineno) from None
-    return out
+    return [_converted(convert, _decoded(line, lineno), lineno)
+            for lineno, line in _records(path)]
 
 
 def save_multimers(path, multimers, seeds=None):
@@ -448,6 +461,39 @@ def save_multimers(path, multimers, seeds=None):
 
 def load_multimers(path):
     return {m.name: m for m in _load_records(path, multimer_from_dict)}
+
+
+def _has_name(record, name):
+    return isinstance(record, dict) and record.get("name") == name
+
+
+def load_multimer(path, name=None):
+    """The multimer named ``name`` in a multimers file, its first record when
+    ``name`` is None, or None when there is no such record.
+
+    Reading stops at that record, and only it is validated: a malformed
+    record elsewhere in the file is not read. A line is decoded only when it
+    holds ``json.dumps(name)``, the name as ``save_multimers`` writes it.
+    When no such line is the record, every line that is JSON is decoded
+    before giving up, so a file written with other spacing or escaping is
+    still searched.
+    """
+    needle = None if name is None else json.dumps(name)
+    for lineno, line in _records(path):
+        if needle is None or needle in line:
+            record = _decoded(line, lineno)
+            if needle is None or _has_name(record, name):
+                return _converted(multimer_from_dict, record, lineno)
+    if name is None:
+        return None
+    for lineno, line in _records(path):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        if _has_name(record, name):
+            return _converted(multimer_from_dict, record, lineno)
+    return None
 
 
 def _load_dataset(path, multimers, make):

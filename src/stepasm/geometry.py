@@ -17,6 +17,8 @@ aligned_rmsd(pred, gt)
 tm_score(pred, gt)
     Length-normalized similarity in (0, 1]; 1 means identical placement.
     Computed after a single global superposition of pred onto gt.
+tm_scores(preds, gt)
+    tm_score of every prediction in a stack, superposed in one batch.
 """
 
 from dataclasses import dataclass
@@ -79,40 +81,46 @@ class RigidTransform:
 
 
 def _kabsch_transform(reference, mobile):
-    """Least-squares rigid transform mapping ``mobile`` onto ``reference``.
+    """Least-squares rigid transforms mapping ``mobile`` onto ``reference``.
 
-    Returns (rotation, translation, singular_values). The singular values of
-    the covariance are returned so the caller can detect rank deficiency; no
-    silent fixing happens here beyond the standard determinant correction.
+    Both are (..., L, 3) stacks that broadcast over their leading axes; each
+    stacked pair gets its own fit. Returns (rotation (..., 3, 3), translation
+    (..., 3), singular_values (..., 3)). The singular values of the covariance
+    are returned so the caller can detect rank deficiency; no silent fixing
+    happens here beyond the standard determinant correction.
     """
-    n = reference.shape[0]
-    ref_centroid = np.sum(reference, axis=0) / n
-    mob_centroid = np.sum(mobile, axis=0) / n
-    ref_c = reference - ref_centroid
-    mob_c = mobile - mob_centroid
-    cov = mob_c.T @ ref_c
+    n = reference.shape[-2]
+    # the sums of np.sum(x, axis=-2), in the same order, without its slow
+    # length-3 inner loop on stacks
+    ref_centroid = np.einsum("...li->...i", reference) / n
+    mob_centroid = np.einsum("...li->...i", mobile) / n
+    ref_c = reference - ref_centroid[..., None, :]
+    mob_c = mobile - mob_centroid[..., None, :]
+    cov = np.swapaxes(mob_c, -1, -2) @ ref_c
     u, svals, vt = np.linalg.svd(cov)
-    sign = np.sign(np.linalg.det(vt.T @ u.T))
-    if sign == 0.0:
-        sign = 1.0
-    correction = np.eye(3)
-    correction[2, 2] = sign
-    rotation = vt.T @ correction @ u.T
-    translation = ref_centroid - rotation @ mob_centroid
+    v = np.swapaxes(vt, -1, -2)
+    u_t = np.swapaxes(u, -1, -2)
+    sign = np.sign(np.linalg.det(v @ u_t))
+    # diag(1, 1, sign) between v and u^T: flip v's last column
+    v[..., 2] *= np.where(sign == 0.0, 1.0, sign)[..., None]
+    rotation = v @ u_t
+    translation = ref_centroid - (rotation @ mob_centroid[..., None])[..., 0]
     return rotation, translation, svals
 
 
 def _superpose_metrics(pred, gt, d0):
     """(TM with distance scale d0, RMSD) after superposing ``pred`` onto ``gt``.
 
-    Fused because assembly labelling evaluates it once per candidate graph.
+    ``pred`` may be a (..., L, 3) stack scored against one (L, 3) ``gt``: the
+    assembly oracle superposes a batch of trees this way.
     """
     rotation, translation, _ = _kabsch_transform(gt, pred)
-    moved = pred @ rotation.T + translation
-    diff = moved - gt
-    sq = np.sum(diff * diff, axis=1)
-    tm = np.mean(1.0 / (1.0 + sq / (d0 * d0)))
-    rmsd = np.sqrt(np.mean(sq))
+    diff = pred @ np.swapaxes(rotation, -1, -2)
+    diff += translation[..., None, :]
+    diff -= gt
+    sq = np.einsum("...i,...i->...", diff, diff)
+    tm = np.mean(1.0 / (1.0 + sq / (d0 * d0)), axis=-1)
+    rmsd = np.sqrt(np.mean(sq, axis=-1))
     return tm, rmsd
 
 
@@ -179,6 +187,26 @@ def tm_score(pred, gt):
         raise LengthMismatchError("tm_score needs at least 3 points")
     tm, _ = _superpose_metrics(p, g, tm_d0(p.shape[0]))
     return float(tm)
+
+
+def tm_scores(preds, gt):
+    """tm_score of each (L, 3) prediction in a (T, L, 3) stack against one gt.
+
+    All T superpositions run as one batch: stacked products and one SVD call
+    over (T, 3, 3) covariances.
+    """
+    p = np.asarray(preds, dtype=np.float64)
+    g = as_coords(gt, "gt")
+    if p.ndim != 3 or p.shape[2] != 3:
+        raise ValueError(f"preds: expected (T, L, 3) array, got shape {p.shape}")
+    if p.shape[1] != g.shape[0]:
+        raise LengthMismatchError(
+            f"coordinate sets differ in length: {p.shape[1]} vs {g.shape[0]}"
+        )
+    if g.shape[0] < 3:
+        raise LengthMismatchError("tm_score needs at least 3 points")
+    tm, _ = _superpose_metrics(p, g, tm_d0(g.shape[0]))
+    return tm
 
 
 def superposed_scores(pred, gt):

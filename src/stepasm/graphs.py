@@ -7,6 +7,15 @@ structure: walk the tree, and for each edge superpose the shared chain of the
 stored dimer onto its already-placed copy, carrying the partner along.
 The assembly correctness of a graph is the TM-score between the structure it
 produces and the ground truth.
+
+The oracle computes that walk by composing transforms. Kabsch is
+equivariant, so the fit of an edge onto a placed chain is the placed chain's
+transform composed with a fit between two stored dimers; that fit depends
+only on (docked chain, the partner it was placed through, new chain). An
+``Oracle`` keeps those fits for one labelling call, builds each tree's
+chains from their transforms, and superposes a batch of trees onto the
+ground truth at once. Scoring all 6^4 trees of a 6-chain complex takes at
+most 6 * 5 * 4 = 120 Kabsch fits instead of 4 per tree.
 """
 
 import heapq
@@ -20,10 +29,13 @@ import numpy as np
 from .embeddings import embed_chain
 from .errors import (
     DisconnectedTraversalError,
+    LengthMismatchError,
     MissingDimerError,
     TreeTooLargeError,
 )
-from .geometry import as_coords, kabsch_align, tm_score
+from .geometry import as_coords, kabsch_align, tm_scores
+# not called here; kept because perfbench/spans.py patches this name
+from .geometry import tm_score  # noqa: F401
 
 ENUMERATION_LIMIT = 8
 # Largest complex the exhaustive oracle scores (6^4 = 1 296 trees).
@@ -315,33 +327,129 @@ def _traversal_order(graph):
     return order
 
 
-def place_chains(edge_sequence, dimers):
-    """Place chains along an edge sequence where each edge extends placed ones.
+_EYE = np.eye(3)
+_ORIGIN = np.zeros(3)
+# Trees superposed per batch: bounds the (trees, residues, 3) work arrays.
+_SCORE_BATCH = 256
 
-    The first edge's first endpoint keeps its dimer-frame coordinates; every
-    subsequent edge (d, u) superposes chain d's copy in the stored (d, u)
-    dimer onto the already-placed d, and maps u through that transform.
-    Returns {chain index: coordinates}.
+
+def _compose(edge_sequence, dimers, steps):
+    """How ``place_chains`` places each chain: {chain: (copy, partner, rotation,
+    translation)}, the chain being its copy in the dimer with ``partner``
+    moved by the rigid transform. Kabsch fits are looked up in, and added to,
+    ``steps``.
+
+    The first edge's two chains keep their dimer frame. Docking w onto d,
+    with d placed as T_d(d's copy in (a, d)), superposes d's copy in (d, w)
+    onto that. Kabsch is equivariant, kabsch(T A, B) = T o kabsch(A, B), so
+    T_w = T_d o K with K = kabsch(d's copy in (a, d), d's copy in (d, w)),
+    which depends only on the triple (d, a, w): ``steps`` keeps it under that
+    key.
     """
-    placed = {}
+    poses = {}
     for d, u in edge_sequence:
-        if d not in placed and u not in placed:
-            if placed:
+        if d not in poses and u not in poses:
+            if poses:
                 raise DisconnectedTraversalError(
                     f"edge ({d}, {u}) touches no placed chain"
                 )
             xd, xu = dimers.get(d, u)
-            placed[d] = xd
-            placed[u] = xu
+            poses[d] = (xd, u, _EYE, _ORIGIN)
+            poses[u] = (xu, d, _EYE, _ORIGIN)
             continue
-        if d not in placed:
+        if d not in poses:
             d, u = u, d
-        if u in placed:
+        if u in poses:
             raise DisconnectedTraversalError(f"chain {u} placed twice")
         xd, xu = dimers.get(d, u)
-        transform = kabsch_align(placed[d], xd)
-        placed[u] = transform.apply(xu)
-    return placed
+        copy, a, rotation, translation = poses[d]
+        step = steps.get((d, a, u))
+        if step is None:
+            step = steps[d, a, u] = kabsch_align(copy, xd)
+        poses[u] = (xu, d, rotation @ step.rotation,
+                    rotation @ step.translation + translation)
+    return poses
+
+
+def _placed(pose):
+    copy, _, rotation, translation = pose
+    return copy @ rotation.T + translation
+
+
+def place_chains(edge_sequence, dimers):
+    """Place chains along an edge sequence where each edge extends placed ones.
+
+    The first edge's chains keep their dimer-frame coordinates; every
+    subsequent edge (d, u) superposes chain d's copy in the stored (d, u)
+    dimer onto the already-placed d, and maps u through that transform.
+    Returns {chain index: coordinates}.
+    """
+    return {v: _placed(pose) for v, pose in _compose(edge_sequence, dimers, {}).items()}
+
+
+class Oracle:
+    """Assembly and correctness of trees over one multimer, for one labelling call.
+
+    Keeps each Kabsch fit its placements compute (see ``_compose``), so scoring
+    every tree of an N-chain complex fits at most N(N-1)(N-2) of them. Make
+    one per call and drop it after: the fits hold only for the dimer library
+    they came from.
+    """
+
+    def __init__(self, multimer):
+        self.multimer = multimer
+        self._steps = {}
+
+    def _poses(self, graph):
+        if graph.n == 1:
+            only = graph.nodes[0]
+            return {only: (self.multimer.chains[only].coords, None, _EYE, _ORIGIN)}
+        return _compose(_traversal_order(graph), self.multimer.dimers, self._steps)
+
+    def assemble(self, graph):
+        """Coordinates of every chain in ``graph.nodes``, in that order."""
+        poses = self._poses(graph)
+        return [_placed(poses[v]) for v in graph.nodes]
+
+    def scores(self, graphs):
+        """``assembly_correctness`` of each graph, in order.
+
+        Trees over the same chains are built and superposed onto their ground
+        truth in batches: each chain's copies from one dimer are moved by the
+        stacked transforms of every tree that places it from that dimer.
+        """
+        m = self.multimer
+        out = [0.0] * len(graphs)
+        by_nodes = {}
+        for i, graph in enumerate(graphs):
+            by_nodes.setdefault(graph.nodes, []).append(i)
+        for nodes, members in by_nodes.items():
+            lengths = [m.gt_coords[v].shape[0] for v in nodes]
+            bounds = np.cumsum([0] + lengths).tolist()
+            gt = np.concatenate([m.gt_coords[v] for v in nodes])
+            for lo in range(0, len(members), _SCORE_BATCH):
+                batch = members[lo:lo + _SCORE_BATCH]
+                poses = [self._poses(graphs[i]) for i in batch]
+                preds = np.empty((len(batch),) + gt.shape)
+                for k, v in enumerate(nodes):
+                    by_partner = {}
+                    for row, pose in enumerate(poses):
+                        by_partner.setdefault(pose[v][1], []).append(row)
+                    for rows in by_partner.values():
+                        copy = poses[rows[0]][v][0]
+                        if copy.shape[0] != lengths[k]:
+                            raise LengthMismatchError(
+                                f"chain {v}: {copy.shape[0]} placed points, "
+                                f"{lengths[k]} in the ground truth"
+                            )
+                        rotations = np.stack([poses[r][v][2] for r in rows])
+                        translations = np.stack([poses[r][v][3] for r in rows])
+                        preds[rows, bounds[k]:bounds[k + 1]] = (
+                            copy @ np.swapaxes(rotations, 1, 2) + translations[:, None]
+                        )
+                for i, tm in zip(batch, tm_scores(preds, gt).tolist()):
+                    out[i] = tm
+        return out
 
 
 def assemble(graph, multimer):
@@ -350,11 +458,7 @@ def assemble(graph, multimer):
     Output frame is the first-placed dimer's frame; compare via superposition.
     A pair with no stored dimer raises MissingDimerError from the library.
     """
-    if graph.n == 1:
-        only = graph.nodes[0]
-        return [multimer.chains[only].coords]
-    placed = place_chains(_traversal_order(graph), multimer.dimers)
-    return [placed[v] for v in graph.nodes]
+    return Oracle(multimer).assemble(graph)
 
 
 def assembly_correctness(graph, multimer):
@@ -363,10 +467,7 @@ def assembly_correctness(graph, multimer):
     Residue correspondence is positional per chain, chains concatenated in
     ascending index order.
     """
-    coords = assemble(graph, multimer)
-    pred = np.concatenate(coords)
-    gt = np.concatenate([multimer.gt_coords[v] for v in graph.nodes])
-    return tm_score(pred, gt)
+    return Oracle(multimer).scores([graph])[0]
 
 
 def enumerate_scores(multimer):
@@ -375,11 +476,9 @@ def enumerate_scores(multimer):
         raise TreeTooLargeError(
             f"exhaustive scoring limited to {SCORING_LIMIT} chains, got {multimer.n}"
         )
-    out = []
-    for edges in enumerate_uca(multimer.n):
-        graph = AssemblyGraph.over(multimer.n, edges)
-        out.append((edges, assembly_correctness(graph, multimer)))
-    return out
+    trees = enumerate_uca(multimer.n)
+    graphs = [AssemblyGraph.over(multimer.n, edges) for edges in trees]
+    return list(zip(trees, Oracle(multimer).scores(graphs)))
 
 
 def best_assembly(multimer, scored=None):

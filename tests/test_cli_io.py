@@ -16,7 +16,7 @@ from stepasm.config import (
     config_hash,
     load_config,
 )
-from stepasm.datagen import load_multimers
+from stepasm.datagen import gen_synthetic_multimer, load_multimers, multimer_to_dict
 from stepasm.errors import (
     ConfigError,
     EmptyFileError,
@@ -300,6 +300,49 @@ def test_cli_rejects_target_record_of_unknown_multimer(workflow, tmp_path, capsy
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "MalformedRecordError"
     assert err["message"].startswith("line 2: ")
+
+
+@pytest.fixture(scope="module")
+def picked_lines():
+    """Three 3-chain multimer records, named a, b and \u03b2 (written unescaped)."""
+    return [json.dumps(multimer_to_dict(gen_synthetic_multimer(3, 140 + i, name=name)),
+                       ensure_ascii=False)
+            for i, name in enumerate(["a", "b", "\u03b2"])]
+
+
+def _oracle_for(lines, name, tmp_path):
+    path = tmp_path / "multimers.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "oracle.json"
+    code = cli.main(["enumerate-oracle", "--multimers", str(path), "--name", name,
+                     "--out", str(out)])
+    return code, out
+
+
+@pytest.mark.parametrize("name", ["b", "\u03b2"], ids=["as-written", "other-escaping"])
+def test_named_multimer_is_found_past_a_malformed_record(picked_lines, tmp_path, name):
+    # the malformed line is never read: only the named record is decoded
+    lines = [picked_lines[0], '{"name": "a", "truncated', *picked_lines[1:]]
+    code, out = _oracle_for(lines, name, tmp_path)
+    assert code == 0
+    assert json.loads(out.read_text())["multimer"] == name
+
+
+def test_malformed_named_multimer_reports_its_line(picked_lines, tmp_path, capsys):
+    record = json.loads(picked_lines[1])
+    del record["chains"]
+    code, _ = _oracle_for([picked_lines[0], json.dumps(record), picked_lines[2]], "b",
+                          tmp_path)
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "MalformedRecordError"
+    assert err["message"].startswith("line 2: ")
+
+
+def test_unknown_multimer_name_exits_2(picked_lines, tmp_path, capsys):
+    code, out = _oracle_for(picked_lines, "zzz", tmp_path)
+    assert code == 2 and not out.exists()
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
 @pytest.mark.parametrize("content,error", [

@@ -1,9 +1,15 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
-from stepasm.datagen import gen_synthetic_multimer
+from stepasm import cli, graphs
+from stepasm.datagen import gen_synthetic_multimer, save_multimers
 from stepasm.errors import (
+    DegenerateGeometryError,
     DisconnectedTraversalError,
+    LengthMismatchError,
     MissingDimerError,
     TreeTooLargeError,
 )
@@ -15,6 +21,7 @@ from stepasm.graphs import (
     best_assembly,
     canonical_edges,
     edges_from_prufer,
+    enumerate_scores,
     enumerate_uca,
     is_labeled_tree,
     place_chains,
@@ -142,3 +149,76 @@ def test_subgraph_features_align_with_nodes():
     assert sub.attrs.shape == (2, m.chain_features.shape[1])
     assert np.array_equal(sub.attrs[0], m.chain_features[1])
     assert np.array_equal(sub.attrs[1], m.chain_features[3])
+
+
+def test_enumerate_scores_fits_each_kabsch_triple_at_most_once(monkeypatch):
+    m = gen_synthetic_multimer(6, seed=29)
+    calls = []
+    fit = graphs.kabsch_align
+    monkeypatch.setattr(graphs, "kabsch_align", lambda *a: calls.append(a) or fit(*a))
+    scored = enumerate_scores(m)
+    assert len(scored) == 6 ** 4
+    # one fit per (docked chain, its partner, new chain): N(N-1)(N-2), not one
+    # per edge of every tree (6^4 trees x 4 fits = 5 184)
+    assert len(calls) <= 6 * 5 * 4
+
+
+def _without_dimer(m):
+    lib = DimerLibrary()
+    for a, b in m.dimers.pairs():
+        if (a, b) != (1, 2):
+            lib.add(a, b, *m.dimers.get(a, b))
+    return lib
+
+
+def _collinear_copy(m):
+    """Chain 1's copy in dimer (0, 1) on a line: fitting it onto chain 1's copy
+    in (1, 2) has no unique rotation."""
+    lib = DimerLibrary()
+    for a, b in m.dimers.pairs():
+        xa, xb = m.dimers.get(a, b)
+        if (a, b) == (0, 1):
+            xb = np.outer(np.arange(len(xb), dtype=float), [1.0, 2.0, 3.0])
+        lib.add(a, b, xa, xb)
+    return lib
+
+
+def _short_copies(m):
+    """Every dimer copy of chain 1 one residue shorter than its ground truth:
+    the copies agree with each other, so only the ground truth tells."""
+    lib = DimerLibrary()
+    for a, b in m.dimers.pairs():
+        xa, xb = m.dimers.get(a, b)
+        lib.add(a, b, xa[:-1] if a == 1 else xa, xb[:-1] if b == 1 else xb)
+    return lib
+
+
+BROKEN_DIMERS = [
+    (_without_dimer, MissingDimerError),
+    (_collinear_copy, DegenerateGeometryError),
+    (_short_copies, LengthMismatchError),
+]
+BROKEN_IDS = ["missing", "collinear", "short"]
+
+
+@pytest.fixture(scope="module")
+def m3():
+    return gen_synthetic_multimer(3, seed=5, name="m3")
+
+
+@pytest.mark.parametrize("breaks,error", BROKEN_DIMERS, ids=BROKEN_IDS)
+def test_oracle_raises_typed_errors_on_broken_dimers(m3, breaks, error):
+    broken = dataclasses.replace(m3, dimers=breaks(m3))
+    with pytest.raises(error):
+        enumerate_scores(broken)
+    # the path 0-1-2 docks 2 onto 1, placed from dimer (0, 1)
+    with pytest.raises(error):
+        assembly_correctness(broken.graph_over(((0, 1), (1, 2))), broken)
+
+
+@pytest.mark.parametrize("breaks,error", BROKEN_DIMERS, ids=BROKEN_IDS)
+def test_enumerate_oracle_cli_reports_broken_dimers(m3, breaks, error, tmp_path, capsys):
+    path = tmp_path / "multimers.jsonl"
+    save_multimers(path, [dataclasses.replace(m3, dimers=breaks(m3))])
+    assert cli.main(["enumerate-oracle", "--multimers", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == error.__name__

@@ -28,9 +28,11 @@ from stepasm.geometry import (
 )
 from stepasm.graphs import (
     DimerLibrary,
+    Oracle,
     assembly_correctness,
     edges_from_prufer,
     is_labeled_tree,
+    place_chains,
     random_uca_edges,
 )
 from stepasm.inference import DockingPath
@@ -185,6 +187,83 @@ def test_placement_equivariant_to_moving_each_dimer(m5, seed):
     tm = assembly_correctness(graph, m5)
     assert assembly_correctness(graph, dataclasses.replace(m5, dimers=moved)) == (
         pytest.approx(tm, abs=1e-9))
+
+
+# ---------------------------------------------------------------------------
+# the oracle against the sequential placement it composes: every edge fits the
+# stored dimer onto its chain as placed so far
+
+
+def reference_order(graph):
+    """(placed, new) edges breadth-first from the lowest endpoint of the lowest
+    edge, neighbours in ascending order."""
+    adj = graph.neighbors()
+    root = graph.edges[0][0]
+    seen, order, queue = {root}, [], deque([root])
+    while queue:
+        v = queue.popleft()
+        for w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                order.append((v, w))
+                queue.append(w)
+    return order
+
+
+def reference_place(edge_sequence, dimers):
+    placed = {}
+    for d, u in edge_sequence:
+        if not placed:
+            placed[d], placed[u] = dimers.get(d, u)
+            continue
+        if d not in placed:
+            d, u = u, d
+        xd, xu = dimers.get(d, u)
+        placed[u] = kabsch_align(placed[d], xd).apply(xu)
+    return placed
+
+
+def reference_correctness(graph, m):
+    placed = reference_place(reference_order(graph), m.dimers)
+    return tm_score(np.concatenate([placed[v] for v in graph.nodes]),
+                    np.concatenate([m.gt_coords[v] for v in graph.nodes]))
+
+
+@pytest.fixture(scope="module")
+def oracle_multimers():
+    return {n: gen_synthetic_multimer(n, np.random.default_rng(130 + n)) for n in range(3, 7)}
+
+
+@st.composite
+def grown_trees(draw, n):
+    """A tree over 2..n of the chains 0..n-1, as (nodes, docking actions):
+    each new chain docks onto one already placed, as target data grows its
+    condition graphs. Actions may name either chain first."""
+    order = draw(st.permutations(range(n)))
+    size = draw(st.integers(2, n))
+    actions = []
+    for i in range(1, size):
+        pair = (order[draw(st.integers(0, i - 1))], order[i])
+        actions.append(pair if draw(st.booleans()) else pair[::-1])
+    return tuple(order[:size]), actions
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_oracle_matches_sequential_reference(oracle_multimers, data):
+    n = data.draw(st.integers(3, 6))
+    m = oracle_multimers[n]
+    trees = data.draw(st.lists(grown_trees(n), min_size=1, max_size=12))
+    graphs = [m.subgraph(nodes, actions) for nodes, actions in trees]
+    # one oracle for the batch: its Kabsch fits are shared between the trees
+    for graph, y in zip(graphs, Oracle(m).scores(graphs)):
+        assert abs(y - reference_correctness(graph, m)) <= 1e-12
+    for _, actions in trees:
+        placed, want = place_chains(actions, m.dimers), reference_place(actions, m.dimers)
+        assert placed.keys() == want.keys()
+        for v in want:
+            assert np.abs(placed[v] - want[v]).max() <= 1e-9
 
 
 # ---------------------------------------------------------------------------
