@@ -35,7 +35,7 @@ def _load_run_config(args):
 
 
 def _write_json(path, payload):
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _stamp(cfg):

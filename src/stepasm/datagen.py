@@ -21,11 +21,11 @@ from .errors import EmptyDatasetError, MalformedRecordError, NoValidGrowthWarnin
 from .geometry import random_rotation
 from .ioutil import atomic_write_text
 from .graphs import (
-    AssemblyGraph,
     ChainStructure,
     DimerLibrary,
     Multimer,
     Oracle,
+    adjacency,
     as_rng,
     canonical_edges,
     random_uca_edges,
@@ -158,17 +158,14 @@ def gen_synthetic_multimer(n, seed, name=None):
     tree = random_uca_edges(n, rng)
     # depth-first layout order over the contact tree; the parity of a node's
     # depth (0 acidic, 1 basic) sets its composition
-    adj = {v: [] for v in range(n)}
-    for a, b in tree:
-        adj[a].append(b)
-        adj[b].append(a)
+    adj = adjacency(tree, range(n))
     order = []
     parity = {0: 0}
     stack = [0]
     while stack:
         v = stack.pop()
         order.append(v)
-        for w in sorted(adj[v], reverse=True):
+        for w in reversed(adj[v]):
             if w not in parity:
                 parity[w] = parity[v] ^ 1
                 stack.append(w)
@@ -263,20 +260,11 @@ def make_source_dataset(multimers, samples_per_multimer, seed):
         rng = np.random.default_rng([seed, idx])
         trees = list(dict.fromkeys(
             random_uca_edges(m.n, rng) for _ in range(samples_per_multimer)))
-        labels = Oracle(m).scores([AssemblyGraph.over(m.n, edges) for edges in trees])
+        nodes = tuple(range(m.n))
+        labels = Oracle(m).scores([(nodes, edges) for edges in trees])
         out.extend(SourceInstance(multimer=m.name, n=m.n, edges=edges, y=y)
                    for edges, y in zip(trees, labels))
     return out
-
-
-def _extensions(multimer, cond):
-    """(v_d, v_u, extended graph) for every docking action on ``cond``."""
-    undocked = [v for v in range(multimer.n) if v not in cond.nodes]
-    for v_d in cond.nodes:
-        for v_u in undocked:
-            yield v_d, v_u, multimer.subgraph(
-                tuple(cond.nodes) + (v_u,), cond.edges + ((v_d, v_u),)
-            )
 
 
 def make_target_dataset(multimer, seed, starts=1):
@@ -288,84 +276,72 @@ def make_target_dataset(multimer, seed, starts=1):
     sweep then revisits every retained condition graph — singleton starts
     included — and records every possible extension with its true label, so
     wrong docking actions appear at every condition size.
+
+    Conditions and extensions are ``(nodes, edges)`` pairs, labelled by one
+    ``Oracle`` that scores each distinct extension once. Records come out in
+    the order they are first made, one per (condition, v_d, v_u).
     """
     if multimer.n < 3:
         raise ValueError("target data needs at least 3 chains")
     rng = as_rng(seed)
-    records = []
-    seen_records = set()
-
-    def emit(cond, v_d, v_u, y):
-        key = (cond.nodes, cond.edges, v_d, v_u)
-        if key in seen_records:
-            return
-        seen_records.add(key)
-        records.append(
-            TargetInstance(
-                multimer=multimer.name,
-                n=multimer.n,
-                cond_nodes=cond.nodes,
-                cond_edges=cond.edges,
-                v_d=v_d,
-                v_u=v_u,
-                y=y,
-            )
-        )
-
     start_chains = rng.choice(multimer.n, size=min(starts, multimer.n), replace=False)
-    conditions = []
-    seen_conditions = set()
-    for start in sorted(int(s) for s in start_chains):
-        cond = multimer.subgraph((start,), ())
-        conditions.append(cond)
-        seen_conditions.add(cond.key())
+    conditions = [((start,), ()) for start in sorted(int(s) for s in start_chains)]
+    seen_conditions = set(conditions)
     retained = list(conditions)
     oracle = Oracle(multimer)
     labels = {}
+    records = {}
 
     def extensions(conds):
-        """Every docking action on ``conds``, each extension labelled; the
-        extensions not labelled before are scored in one batch."""
-        actions = [(cond, v_d, v_u, ext)
-                   for cond in conds for v_d, v_u, ext in _extensions(multimer, cond)]
-        fresh = {}
-        for *_, ext in actions:
-            if ext.key() not in labels:
-                fresh.setdefault(ext.key(), ext)
-        labels.update(zip(fresh, oracle.scores(list(fresh.values()))))
-        return [(cond, v_d, v_u, ext, labels[ext.key()])
-                for cond, v_d, v_u, ext in actions]
+        """(condition, v_d, v_u, extension, label) for every docking action on
+        ``conds``; the extensions not labelled before are scored in one batch."""
+        actions = []
+        for cond in conds:
+            nodes, edges = cond
+            undocked = [v for v in range(multimer.n) if v not in nodes]
+            for v_d in nodes:
+                for v_u in undocked:
+                    ext = (tuple(sorted(nodes + (v_u,))),
+                           canonical_edges(edges + ((v_d, v_u),)))
+                    actions.append((cond, v_d, v_u, ext))
+        fresh = list(dict.fromkeys(ext for *_, ext in actions if ext not in labels))
+        labels.update(zip(fresh, oracle.scores(fresh)))
+        return [(cond, v_d, v_u, ext, labels[ext]) for cond, v_d, v_u, ext in actions]
 
     for size in range(1, multimer.n - 1):
         grown = []
         best_below = None
         for cond, v_d, v_u, ext, y in extensions(conditions):
             if y > KEEP_THRESHOLD:
-                emit(cond, v_d, v_u, y)
-                if ext.key() not in seen_conditions:
-                    seen_conditions.add(ext.key())
-                    grown.append((y, ext, (cond, v_d, v_u)))
+                records.setdefault((cond, v_d, v_u), y)
+                if ext not in seen_conditions:
+                    seen_conditions.add(ext)
+                    grown.append((y, ext))
             elif best_below is None or y > best_below[0]:
                 best_below = (y, ext, (cond, v_d, v_u))
         if not grown:
             # dead end: push through the least-bad extension so growth continues
-            y, ext, (cond, v_d, v_u) = best_below
+            y, ext, action = best_below
             warnings.warn(
                 f"{multimer.name}: no extension above {KEEP_THRESHOLD} at size "
                 f"{size}; keeping best scorer ({y:.3f})",
                 NoValidGrowthWarning,
             )
-            emit(cond, v_d, v_u, y)
-            grown = [(y, ext, None)]
-        grown.sort(key=lambda item: (-item[0], item[1].edges))
-        conditions = [ext for _, ext, _ in grown[:CONDITION_CAP]]
+            records.setdefault(action, y)
+            grown = [(y, ext)]
+        grown.sort(key=lambda item: (-item[0], item[1][1]))
+        conditions = [ext for _, ext in grown[:CONDITION_CAP]]
         retained.extend(conditions)
 
     # final sweep: every retained condition, every extension, true labels —
     # this is where wrong actions (low y) enter the dataset
     for cond, v_d, v_u, _, y in extensions(retained):
-        emit(cond, v_d, v_u, y)
-    return records
+        records.setdefault((cond, v_d, v_u), y)
+    return [
+        TargetInstance(multimer=multimer.name, n=multimer.n, cond_nodes=nodes,
+                       cond_edges=edges, v_d=v_d, v_u=v_u, y=y)
+        for ((nodes, edges), v_d, v_u), y in records.items()
+    ]
 
 
 # ---------------------------------------------------------------------------

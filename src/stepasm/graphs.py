@@ -16,6 +16,9 @@ only on (docked chain, the partner it was placed through, new chain). An
 chains from their transforms, and superposes a batch of trees onto the
 ground truth at once. Scoring all 6^4 trees of a 6-chain complex takes at
 most 6 * 5 * 4 = 120 Kabsch fits instead of 4 per tree.
+
+The oracle scores generated, trusted ``(nodes, edges)`` pairs. Trees from
+outside, such as file records, are validated as ``AssemblyGraph`` on load.
 """
 
 import heapq
@@ -82,6 +85,17 @@ def is_labeled_tree(nodes, edges):
     return len(edges) == len(nodes) - 1 and _join_count(nodes, edges) == len(edges)
 
 
+def adjacency(edges, nodes=()):
+    """{node: ascending neighbours} over ``nodes`` and the endpoints of ``edges``."""
+    adj = {v: [] for v in nodes}
+    for a, b in edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    for neighbours in adj.values():
+        neighbours.sort()
+    return adj
+
+
 @dataclass(frozen=True)
 class AssemblyGraph:
     """Labeled tree over chain indices, optionally carrying node attributes.
@@ -122,22 +136,13 @@ class AssemblyGraph:
     def n(self):
         return len(self.nodes)
 
-    def key(self):
-        return (self.nodes, self.edges)
-
     def local_edges(self):
         """Edges re-indexed into positions within the sorted node tuple."""
         pos = {v: i for i, v in enumerate(self.nodes)}
         return tuple((pos[a], pos[b]) for a, b in self.edges)
 
     def neighbors(self):
-        adj = {v: [] for v in self.nodes}
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        for v in adj:
-            adj[v].sort()
-        return adj
+        return adjacency(self.edges, self.nodes)
 
 
 def as_rng(seed):
@@ -304,12 +309,12 @@ class Multimer:
         return AssemblyGraph(tuple(nodes), edges, feats)
 
 
-def _traversal_order(graph):
+def _traversal_order(nodes, edges):
     """Edges as (placed, new) pairs: BFS from the lowest endpoint of the lowest edge."""
-    if not graph.edges:
+    if not edges:
         return []
-    adj = graph.neighbors()
-    root = graph.edges[0][0]
+    adj = adjacency(edges)
+    root = edges[0][0]
     seen = {root}
     order = []
     queue = deque([root])
@@ -320,9 +325,9 @@ def _traversal_order(graph):
                 seen.add(w)
                 order.append((v, w))
                 queue.append(w)
-    if len(seen) != graph.n:
+    if len(seen) != len(nodes):
         raise DisconnectedTraversalError(
-            f"traversal reached {len(seen)} of {graph.n} nodes"
+            f"traversal reached {len(seen)} of {len(nodes)} nodes"
         )
     return order
 
@@ -400,36 +405,41 @@ class Oracle:
         self.multimer = multimer
         self._steps = {}
 
-    def _poses(self, graph):
-        if graph.n == 1:
-            only = graph.nodes[0]
+    def _poses(self, tree):
+        nodes, edges = tree
+        if len(nodes) == 1:
+            only = nodes[0]
             return {only: (self.multimer.chains[only].coords, None, _EYE, _ORIGIN)}
-        return _compose(_traversal_order(graph), self.multimer.dimers, self._steps)
+        return _compose(_traversal_order(nodes, edges), self.multimer.dimers, self._steps)
 
     def assemble(self, graph):
         """Coordinates of every chain in ``graph.nodes``, in that order."""
-        poses = self._poses(graph)
+        poses = self._poses((graph.nodes, graph.edges))
         return [_placed(poses[v]) for v in graph.nodes]
 
-    def scores(self, graphs):
-        """``assembly_correctness`` of each graph, in order.
+    def scores(self, trees):
+        """``assembly_correctness`` of each tree, in order.
+
+        A tree is a ``(nodes, edges)`` pair: a sorted node tuple and its
+        ``canonical_edges``. Pairs are generated by the caller and trusted;
+        file records are validated as ``AssemblyGraph`` when loaded.
 
         Trees over the same chains are built and superposed onto their ground
         truth in batches: each chain's copies from one dimer are moved by the
         stacked transforms of every tree that places it from that dimer.
         """
         m = self.multimer
-        out = [0.0] * len(graphs)
+        out = [0.0] * len(trees)
         by_nodes = {}
-        for i, graph in enumerate(graphs):
-            by_nodes.setdefault(graph.nodes, []).append(i)
+        for i, (nodes, _) in enumerate(trees):
+            by_nodes.setdefault(nodes, []).append(i)
         for nodes, members in by_nodes.items():
             lengths = [m.gt_coords[v].shape[0] for v in nodes]
             bounds = np.cumsum([0] + lengths).tolist()
             gt = np.concatenate([m.gt_coords[v] for v in nodes])
             for lo in range(0, len(members), _SCORE_BATCH):
                 batch = members[lo:lo + _SCORE_BATCH]
-                poses = [self._poses(graphs[i]) for i in batch]
+                poses = [self._poses(trees[i]) for i in batch]
                 preds = np.empty((len(batch),) + gt.shape)
                 for k, v in enumerate(nodes):
                     by_partner = {}
@@ -467,7 +477,7 @@ def assembly_correctness(graph, multimer):
     Residue correspondence is positional per chain, chains concatenated in
     ascending index order.
     """
-    return Oracle(multimer).scores([graph])[0]
+    return Oracle(multimer).scores([(graph.nodes, graph.edges)])[0]
 
 
 def enumerate_scores(multimer):
@@ -477,8 +487,8 @@ def enumerate_scores(multimer):
             f"exhaustive scoring limited to {SCORING_LIMIT} chains, got {multimer.n}"
         )
     trees = enumerate_uca(multimer.n)
-    graphs = [AssemblyGraph.over(multimer.n, edges) for edges in trees]
-    return list(zip(trees, Oracle(multimer).scores(graphs)))
+    nodes = tuple(range(multimer.n))
+    return list(zip(trees, Oracle(multimer).scores([(nodes, edges) for edges in trees])))
 
 
 def best_assembly(multimer, scored=None):

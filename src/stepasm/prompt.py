@@ -408,6 +408,11 @@ def prompt_tune(items, gin, head, cfg=None, init=None):
     descent loss is cfg.train.loss plus LISTWISE_WEIGHT times the listwise
     loss over each decision's candidates.
 
+    With ``init``, tuning starts from a copy of it (``init.copy()``): the
+    prompt's architecture (hidden width, heads, multi-head mode), dropout and
+    input standardization all come from ``init``, and cfg.mlp_hidden,
+    cfg.heads, cfg.multi_head and cfg.dropout are ignored.
+
     Each minibatch encodes its distinct condition graphs and candidate chains
     once and runs the prompt MLP once per distinct row (pipeline_forward_batch).
     With dropout on, in the encoder or in the MLP, the actions of a minibatch

@@ -1,5 +1,5 @@
 """The names the benchmark under perfbench/ imports, patches and reads exist,
-and the label workload runs clean.
+and every workload runs clean.
 
 perfbench/test_smoke.py runs the workloads but sits outside the tier-1 test
 paths; this test fails in tier-1 when a refactor drops a name the benchmark
@@ -8,6 +8,8 @@ needs. It only reads perfbench/.
 
 import importlib
 import os
+
+import pytest
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -31,12 +33,14 @@ def test_benchmark_imports_patches_and_reads_the_program(monkeypatch):
     assert kernels.active_backend() == "numpy"
 
 
-def test_label_workload_runs_clean_at_smoke_scale(monkeypatch, tmp_path):
-    """One cycle of the label workload: source and target labels and the
-    `stepasm enumerate-oracle` report of an N=6 complex pass its checks."""
+@pytest.mark.parametrize("name", ["label", "train", "infer"])
+def test_workload_runs_clean_at_smoke_scale(monkeypatch, tmp_path, name):
+    """Set-up, one cycle and the checks of a workload at smoke scale, with no
+    failed operation: for label, the source and target labels and the
+    `stepasm enumerate-oracle` report of an N=6 complex."""
     monkeypatch.syspath_prepend(PERFBENCH)
     common = importlib.import_module("common")
-    workload = importlib.import_module("workload_label").Workload("smoke")
+    workload = importlib.import_module(f"workload_{name}").Workload("smoke")
     state = workload.setup(1, str(tmp_path))
     out = workload.cycle(state, common.Clock(), 0)
     tally = common.Tally()

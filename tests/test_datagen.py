@@ -1,5 +1,9 @@
 """Synthetic multimer generation and the source/target dataset builders."""
 
+import dataclasses
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -20,10 +24,13 @@ from stepasm.datagen import (
     save_multimers,
     split_by_scale,
 )
-from stepasm.errors import EmptyDatasetError, MalformedRecordError
+from stepasm.errors import EmptyDatasetError, MalformedRecordError, NoValidGrowthWarning
 from stepasm.graphs import (
     AssemblyGraph,
+    DimerLibrary,
     assembly_correctness,
+    best_assembly,
+    enumerate_scores,
     is_labeled_tree,
     place_chains,
 )
@@ -275,3 +282,66 @@ def test_source_instance_graph_binds_features():
     g = src[0].graph(ms[0])
     assert g.attrs.shape == (3, ms[0].chain_features.shape[1])
     assert np.array_equal(g.attrs, ms[0].chain_features)
+
+
+def test_labelling_builds_no_assembly_graph(monkeypatch):
+    """The oracle and the dataset builders label plain (nodes, edges) pairs."""
+    made = []
+    original = AssemblyGraph.__post_init__
+
+    def counted(self):
+        made.append(self)
+        original(self)
+
+    monkeypatch.setattr(AssemblyGraph, "__post_init__", counted)
+    ms = gen_multimer_set({3: 1, 4: 1, 5: 1, 6: 1}, seed=23)
+    enumerate_scores(ms[-1])
+    make_source_dataset(ms[:3], 8, seed=24)
+    for i, m in enumerate(ms):
+        make_target_dataset(m, np.random.default_rng([25, i]), starts=m.n)
+    assert made == []
+    AssemblyGraph.over(2, [(0, 1)])
+    assert len(made) == 1
+
+
+# ---------------------------------------------------------------------------
+# labelling output pinned: the record keys in order, which set prompt tuning's
+# batches, and the labels within 1e-12
+
+PINS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
+                    "labelling_pins.json")
+
+
+def pin_inputs():
+    """Four generated complexes, and the 5-chain one again with each dimer's
+    second chain moved 4 A, so that target growth meets a dead end."""
+    ms = gen_multimer_set({4: 2, 5: 1, 6: 1}, seed=31)
+    shifted = DimerLibrary()
+    for a, b in ms[2].dimers.pairs():
+        xa, xb = ms[2].dimers.get(a, b)
+        shifted.add(a, b, xa, xb + np.array([4.0, 0.0, 0.0]))
+    return ms + [dataclasses.replace(ms[2], name="shifted", dimers=shifted)]
+
+
+def labelled(ms):
+    """Target records, source records and best trees of ``ms`` as JSON rows,
+    each row's label last."""
+    target = [[r.multimer, r.cond_nodes, r.cond_edges, r.v_d, r.v_u, r.y]
+              for i, m in enumerate(ms)
+              for r in make_target_dataset(m, np.random.default_rng([32, i]), starts=m.n)]
+    source = [[r.multimer, r.edges, r.y]
+              for r in make_source_dataset([m for m in ms if m.n <= 5], 6, seed=33)]
+    best = [[m.name, *best_assembly(m)] for m in ms]
+    return json.loads(json.dumps({"target": target, "source": source, "best": best}))
+
+
+def test_labelling_output_is_pinned():
+    with open(PINS) as fh:
+        want = json.load(fh)
+    with pytest.warns(NoValidGrowthWarning, match="shifted"):
+        got = labelled(pin_inputs())
+    assert got.keys() == want.keys()
+    for section in want:
+        assert [row[:-1] for row in got[section]] == [row[:-1] for row in want[section]]
+        for row, pinned in zip(got[section], want[section]):
+            assert abs(row[-1] - pinned[-1]) <= 1e-12, (section, row)

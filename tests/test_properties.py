@@ -257,7 +257,7 @@ def test_oracle_matches_sequential_reference(oracle_multimers, data):
     trees = data.draw(st.lists(grown_trees(n), min_size=1, max_size=12))
     graphs = [m.subgraph(nodes, actions) for nodes, actions in trees]
     # one oracle for the batch: its Kabsch fits are shared between the trees
-    for graph, y in zip(graphs, Oracle(m).scores(graphs)):
+    for graph, y in zip(graphs, Oracle(m).scores([(g.nodes, g.edges) for g in graphs])):
         assert abs(y - reference_correctness(graph, m)) <= 1e-12
     for _, actions in trees:
         placed, want = place_chains(actions, m.dimers), reference_place(actions, m.dimers)
