@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field
 
 from .datagen import CHAIN_COUNT_RANGE
@@ -21,6 +22,12 @@ class DataConfig:
     starts: int = 1
 
     def __post_init__(self):
+        if not self.counts:
+            raise ConfigError("multimer counts must name at least one chain count")
+        bad = [v for v in self.counts.values()
+               if isinstance(v, bool) or not isinstance(v, numbers.Integral)]
+        if bad:
+            raise ConfigError(f"multimer counts must be integers, got {bad[0]!r}")
         object.__setattr__(
             self, "counts", {int(k): int(v) for k, v in self.counts.items()}
         )

@@ -104,7 +104,6 @@ def _chain_walk(rng, length, step=3.8, min_sep=3.0):
     pos = np.zeros((length, 3))
     direction = _unit(rng.standard_normal(3))
     for t in range(1, length):
-        cand = pos[t - 1] + step * direction
         for _ in range(20):
             nd = _unit(direction + 0.7 * rng.standard_normal(3))
             cand = pos[t - 1] + step * nd
@@ -348,23 +347,19 @@ def make_target_dataset(multimer, seed, starts=1):
 # persistence: line-delimited records, one JSON object per line
 
 
-def _coords_list(arr):
-    return [[float(v) for v in row] for row in arr]
-
-
 def multimer_to_dict(m, seed=None):
     d = {
         "name": m.name,
         "version": GENERATOR_VERSION,
         "n": m.n,
         "chains": [
-            {"id": c.chain_id, "sequence": c.sequence, "coords": _coords_list(c.coords)}
+            {"id": c.chain_id, "sequence": c.sequence, "coords": c.coords.tolist()}
             for c in m.chains
         ],
-        "gt": [_coords_list(g) for g in m.gt_coords],
+        "gt": [g.tolist() for g in m.gt_coords],
         "contacts": sorted(m.contact_edges),
         "dimers": {
-            f"{a}-{b}": [_coords_list(x) for x in m.dimers.get(a, b)]
+            f"{a}-{b}": [x.tolist() for x in m.dimers.get(a, b)]
             for a, b in m.dimers.pairs()
         },
     }

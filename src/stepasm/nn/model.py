@@ -17,12 +17,11 @@ from ..errors import ShapeMismatchError
 from .tensor import (
     Tensor,
     add,
-    adds,
     as_tensor,
     dropout,
+    gather_rows,
     matmul,
     mul,
-    neighbor_sum,
     relu,
     segment_sum,
     sigmoid,
@@ -88,7 +87,7 @@ class MLPParams:
             self.weights[-1].data.shape[1],
         )
 
-    def forward(self, x, *, training=False, rng=None, drop=0.0):
+    def forward(self, x, *, rng=None, drop=0.0):
         h = as_tensor(x)
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -96,7 +95,7 @@ class MLPParams:
             if i != last:
                 h = relu(h)
                 if drop > 0.0:
-                    h = dropout(h, drop, rng, training)
+                    h = dropout(h, drop, rng)
         return h
 
     def named(self, prefix):
@@ -171,8 +170,8 @@ class TaskHeadParams:
         rng = np.random.default_rng(seed)
         return cls(MLPParams.init((input_dim, hidden_dim, 1), rng))
 
-    def score(self, pooled, *, training=False, rng=None, drop=0.0):
-        return sigmoid(self.mlp.forward(pooled, training=training, rng=rng, drop=drop))
+    def score(self, pooled, *, rng=None, drop=0.0):
+        return sigmoid(self.mlp.forward(pooled, rng=rng, drop=drop))
 
     def named(self, prefix="head"):
         return self.mlp.named(prefix)
@@ -193,12 +192,12 @@ def _directed_edges(edges):
     return src[order], dst[order]
 
 
-def gin_encode(features, edges, gin, *, training=False, rng=None):
+def gin_encode(features, edges, gin, *, rng=None):
     """Per-node embedding matrix for one graph (or a disjoint union of graphs).
 
     ``features`` is (num_nodes, input_dim); ``edges`` holds each undirected
     edge once as a local index pair. Isolated nodes simply get no neighbor
-    term.
+    term. With an rng the encoder runs in training mode, with dropout.
     """
     h = as_tensor(features)
     if h.data.ndim != 2 or h.data.shape[1] != gin.config.input_dim:
@@ -212,19 +211,19 @@ def gin_encode(features, edges, gin, *, training=False, rng=None):
         if src.size and (src.max() >= num_nodes or dst.max() >= num_nodes):
             raise ShapeMismatchError("edge index out of range")
     for eps, mlp in zip(gin.eps, gin.mlps):
-        agg = mul(h, adds(eps, 1.0))
+        agg = mul(h, add(eps, 1.0))
         if edges:
-            agg = add(agg, neighbor_sum(h, src, dst, num_nodes))
-        h = mlp.forward(agg, training=training, rng=rng, drop=gin.config.dropout)
+            agg = add(agg, segment_sum(gather_rows(h, src), dst, num_nodes))
+        h = mlp.forward(agg, rng=rng, drop=gin.config.dropout)
     return h
 
 
-def forward_batch(features, edges, segment_ids, num_graphs, gin, head, *,
-                  training=False, rng=None):
-    """(num_graphs, 1) scores for a block-diagonal disjoint union of graphs."""
-    h = gin_encode(features, edges, gin, training=training, rng=rng)
+def forward_batch(features, edges, segment_ids, num_graphs, gin, head, *, rng=None):
+    """(num_graphs, 1) scores for a block-diagonal disjoint union of graphs;
+    eval mode unless an rng is given."""
+    h = gin_encode(features, edges, gin, rng=rng)
     pooled = segment_sum(h, segment_ids, num_graphs)
-    return head.score(pooled, training=training, rng=rng, drop=gin.config.dropout)
+    return head.score(pooled, rng=rng, drop=gin.config.dropout)
 
 
 def readout_regress(features, edges, gin, head):

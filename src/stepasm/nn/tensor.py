@@ -3,7 +3,15 @@
 A Tensor wraps a float64 ndarray and records, per derived value, its parent
 tensors plus a closure that routes the output gradient to them. backward()
 walks the tape in reverse topological order. Only the operations the models
-need are provided; broadcasting is limited to what those ops use.
+need are provided, thirteen of them; broadcasting is limited to what those
+ops use:
+
+- arithmetic: add, sub, mul (an operand may be a python scalar), matmul;
+- activations: relu, sigmoid, and dropout, which is the identity in eval
+  mode, that is when its rng is None;
+- rows: gather_rows, concat_rows, and segment_sum, which with gather_rows
+  also sums each node's neighbour rows (message passing);
+- losses: mae_loss, bce_loss, listwise_loss.
 """
 
 import numpy as np
@@ -124,31 +132,13 @@ def mul(a, b):
     data = a.data * b.data
 
     def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        # a constant or frozen operand needs no product, as in matmul
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _make(data, (a, b), backward)
-
-
-def adds(a, c):
-    """Tensor plus python scalar."""
-    a = as_tensor(a)
-
-    def backward(g):
-        _accum(a, g)
-
-    return _make(a.data + float(c), (a,), backward)
-
-
-def muls(a, c):
-    """Tensor times python scalar."""
-    a = as_tensor(a)
-    c = float(c)
-
-    def backward(g):
-        _accum(a, g * c)
-
-    return _make(a.data * c, (a,), backward)
 
 
 def matmul(a, b):
@@ -195,26 +185,6 @@ def sigmoid(a):
     return _make(out, (a,), backward)
 
 
-def tensor_abs(a):
-    a = as_tensor(a)
-    sign = np.sign(a.data)
-
-    def backward(g):
-        _accum(a, g * sign)
-
-    return _make(np.abs(a.data), (a,), backward)
-
-
-def mean(a):
-    a = as_tensor(a)
-    n = a.data.size
-
-    def backward(g):
-        _accum(a, np.broadcast_to(g / n, a.data.shape).copy())
-
-    return _make(np.array(a.data.mean()), (a,), backward)
-
-
 def gather_rows(a, index):
     a = as_tensor(a)
     index = np.asarray(index, dtype=np.intp)
@@ -242,28 +212,13 @@ def concat_rows(tensors):
     return _make(data, tuple(tensors), backward)
 
 
-def neighbor_sum(a, src, dst, num_nodes):
-    """Row i of the result = sum of a[src] over directed edges (src -> dst = i).
-
-    Callers pass both directions of each undirected edge, pre-sorted by
-    (dst, src) so accumulation order is fixed.
-    """
-    a = as_tensor(a)
-    src = np.asarray(src, dtype=np.intp)
-    dst = np.asarray(dst, dtype=np.intp)
-    data = np.zeros((num_nodes,) + a.data.shape[1:])
-    np.add.at(data, dst, a.data[src])
-
-    def backward(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, src, g[dst])
-        _accum(a, ga)
-
-    return _make(data, (a,), backward)
-
-
 def segment_sum(a, segment_ids, num_segments):
-    """Sum rows of a into num_segments buckets (graph-level readout)."""
+    """Sum rows of a into num_segments buckets, each bucket in row order.
+
+    This is the graph-level readout, and over gather_rows(h, src) with
+    segment ids dst it is message passing: row i sums h[src] over the edges
+    src -> i.
+    """
     a = as_tensor(a)
     seg = np.asarray(segment_ids, dtype=np.intp)
     if seg.shape[0] != a.data.shape[0]:
@@ -277,10 +232,10 @@ def segment_sum(a, segment_ids, num_segments):
     return _make(data, (a,), backward)
 
 
-def dropout(a, rate, rng, training):
-    """Inverted dropout; identity when not training or rate is 0."""
+def dropout(a, rate, rng):
+    """Inverted dropout; the identity in eval mode (rng is None) or at rate 0."""
     a = as_tensor(a)
-    if not training or rate == 0.0:
+    if rng is None or rate == 0.0:
         return a
     keep = 1.0 - rate
     mask = (rng.random(a.data.shape) < keep) / keep
@@ -299,8 +254,12 @@ def mae_loss(pred, target):
         raise LengthMismatchError(
             f"prediction count {pred.data.size} != target count {target.data.size}"
         )
-    t = Tensor(target.data.reshape(pred.data.shape))
-    return mean(tensor_abs(sub(pred, t)))
+    diff = pred.data - target.data.reshape(pred.data.shape)
+
+    def backward(g):
+        _accum(pred, g / diff.size * np.sign(diff))
+
+    return _make(np.array(np.abs(diff).mean()), (pred,), backward)
 
 
 def bce_loss(pred, target):

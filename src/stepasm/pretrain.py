@@ -51,7 +51,7 @@ def source_graphs(instances, multimers):
 def _batch_forward(graphs, gin, head):
     def forward(indices, training, rng):
         feats, edges, seg, g = pack_graphs([(graphs[i][0], graphs[i][1]) for i in indices])
-        return forward_batch(feats, edges, seg, g, gin, head, training=training, rng=rng)
+        return forward_batch(feats, edges, seg, g, gin, head, rng=rng)
 
     return forward
 

@@ -26,7 +26,6 @@ from .nn.tensor import (
     gather_rows,
     listwise_loss,
     mul,
-    muls,
     sigmoid,
     sub,
 )
@@ -113,10 +112,10 @@ class PromptParams:
         self.in_shift.data = rows.mean(axis=0)
         self.in_scale.data = 1.0 / np.maximum(rows.std(axis=0), 1e-3)
 
-    def transform(self, x, *, training=False, rng=None):
+    def transform(self, x, *, rng=None):
         z = mul(sub(x, self.in_shift), self.in_scale)
-        out = self.mlp.forward(z, training=training, rng=rng, drop=self.dropout)
-        return muls(sigmoid(out), OUTPUT_SCALE)
+        out = self.mlp.forward(z, rng=rng, drop=self.dropout)
+        return mul(sigmoid(out), OUTPUT_SCALE)
 
     def named(self, prefix="prompt"):
         out = self.mlp.named(prefix)
@@ -251,7 +250,7 @@ def _head_weight_rows(h_d, h_u, prompt):
     return weights
 
 
-def prompt_embeddings(h_d, h_u, prompt, *, training=False, rng=None):
+def prompt_embeddings(h_d, h_u, prompt, *, rng=None):
     """Middle-node features (H_x, H_y) from the two query embeddings.
 
     Default mode mirrors the single-vector attention exactly: the softmax of
@@ -272,12 +271,12 @@ def prompt_embeddings(h_d, h_u, prompt, *, training=False, rng=None):
         # softmax over the single scalar score H_d . H_u is identically 1
         x_in = h_u
         y_in = h_d
-    h_x = prompt.transform(x_in, training=training, rng=rng)
-    h_y = prompt.transform(y_in, training=training, rng=rng)
+    h_x = prompt.transform(x_in, rng=rng)
+    h_y = prompt.transform(y_in, rng=rng)
     return h_x, h_y
 
 
-def query_embeddings(items, gin, *, training=False, rng=None):
+def query_embeddings(items, gin, *, rng=None):
     """Stage 1 for a batch of docking actions: (h, d_rows, u_rows).
 
     One encoder pass over a disjoint union holding each distinct condition
@@ -309,7 +308,7 @@ def query_embeddings(items, gin, *, training=False, rng=None):
         u_rows[i] = first_row(
             (it.multimer, (it.v_u,), ()),
             np.asarray(it.u_feature, dtype=np.float64)[None, :], ())
-    h = gin_encode(np.concatenate(feats, axis=0), edges, gin, training=training, rng=rng)
+    h = gin_encode(np.concatenate(feats, axis=0), edges, gin, rng=rng)
     return h, d_rows, u_rows
 
 
@@ -320,17 +319,18 @@ def query_rows(items, gin):
     return h.data[np.concatenate([d_rows, u_rows])]
 
 
-def pipeline_forward_batch(items, gin, head, prompt, *, training=False, rng=None):
+def pipeline_forward_batch(items, gin, head, prompt, *, rng=None):
     """(B, 1) linking probabilities for a batch of docking actions.
 
     Stage 1 encodes each distinct condition graph and candidate chain once
-    (query_embeddings); score_rows runs the prompt MLP and stage 2.
+    (query_embeddings); score_rows runs the prompt MLP and stage 2. Eval mode
+    unless an rng is given, which draws every dropout mask.
     """
-    h, d_rows, u_rows = query_embeddings(items, gin, training=training, rng=rng)
-    return score_rows(h, d_rows, u_rows, gin, head, prompt, training=training, rng=rng)
+    h, d_rows, u_rows = query_embeddings(items, gin, rng=rng)
+    return score_rows(h, d_rows, u_rows, gin, head, prompt, rng=rng)
 
 
-def score_rows(h, d_rows, u_rows, gin, head, prompt, *, training=False, rng=None):
+def score_rows(h, d_rows, u_rows, gin, head, prompt, *, rng=None):
     """(B, 1) probabilities of B actions whose h_d and h_u are rows of h.
 
     In single-head mode h_x = T(h_u) and h_y = T(h_d), so the prompt MLP T
@@ -343,16 +343,16 @@ def score_rows(h, d_rows, u_rows, gin, head, prompt, *, training=False, rng=None
     h_d, h_u = gather_rows(h, d_rows), gather_rows(h, u_rows)
     if prompt.multi_head:
         # the attention weights depend on the pair, so the MLP input does too
-        h_x, h_y = prompt_embeddings(h_d, h_u, prompt, training=training, rng=rng)
+        h_x, h_y = prompt_embeddings(h_d, h_u, prompt, rng=rng)
     else:
         used, where = np.unique(np.concatenate([d_rows, u_rows]), return_inverse=True)
-        t = prompt.transform(gather_rows(h, used), training=training, rng=rng)
+        t = prompt.transform(gather_rows(h, used), rng=rng)
         b = d_rows.size
         h_x, h_y = gather_rows(t, where[b:]), gather_rows(t, where[:b])
-    return score_paths(h_d, h_x, h_y, h_u, gin, head, training=training, rng=rng)
+    return score_paths(h_d, h_x, h_y, h_u, gin, head, rng=rng)
 
 
-def score_paths(h_d, h_x, h_y, h_u, gin, head, *, training=False, rng=None):
+def score_paths(h_d, h_x, h_y, h_u, gin, head, *, rng=None):
     """Stage 2: (B, 1) probabilities of B prompt paths d - x - y - u.
 
     Each argument holds one row per path; all B paths go through the encoder
@@ -362,8 +362,7 @@ def score_paths(h_d, h_x, h_y, h_u, gin, head, *, training=False, rng=None):
     path_feats = concat_rows([h_d, h_x, h_y, h_u])  # row i of role r at r * b + i
     path_edges = [(r * b + i, s * b + i) for r, s in PROMPT_EDGES for i in range(b)]
     seg = np.tile(np.arange(b, dtype=np.intp), 4)
-    return forward_batch(path_feats, path_edges, seg, b, gin, head,
-                         training=training, rng=rng)
+    return forward_batch(path_feats, path_edges, seg, b, gin, head, rng=rng)
 
 
 def score_candidates(chain_features, cond_nodes, cond_edges, pairs, gin, head, prompt):
@@ -437,10 +436,7 @@ def prompt_tune(items, gin, head, cfg=None, init=None):
         prompt.standardize_from(query_rows(items, gin))
 
     def forward(indices, training, rng):
-        return pipeline_forward_batch(
-            [items[i] for i in indices], gin, head, prompt,
-            training=training, rng=rng,
-        )
+        return pipeline_forward_batch([items[i] for i in indices], gin, head, prompt, rng=rng)
 
     labels = np.array([it.y for it in items])
     keys = [it.multimer for it in items]
@@ -450,7 +446,7 @@ def prompt_tune(items, gin, head, cfg=None, init=None):
     def listwise(pred, indices):
         loss = listwise_loss(pred, labels[indices], decisions[indices],
                              KEEP_THRESHOLD, LISTWISE_TEMPERATURE)
-        return muls(loss, LISTWISE_WEIGHT)
+        return mul(loss, LISTWISE_WEIGHT)
 
     log = fit(labels, keys, forward, prompt.trainable_named(), cfg.train, cfg.seed,
               batch_keys=decisions, aux_loss=listwise)

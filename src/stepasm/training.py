@@ -65,7 +65,9 @@ def fit(labels, group_keys, forward_fn, trainable, cfg, seed, *,
     """Minimize cfg.loss of forward_fn against labels; returns the per-epoch log.
 
     forward_fn(indices, training, rng) must return a (len(indices), 1) tensor
-    of predictions. ``trainable`` is the name -> Tensor dict Adam updates;
+    of predictions. ``training`` is True exactly when ``rng`` is given: fit
+    passes its own rng for descent steps and None for validation, which runs
+    in eval mode. ``trainable`` is the name -> Tensor dict Adam updates;
     parameters end at the epoch with the best validation MAE (train MAE when
     the split leaves no validation groups). The logged metrics stay MAE for
     comparability regardless of the descent loss.

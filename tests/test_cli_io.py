@@ -401,8 +401,16 @@ def test_partial_sections_fill_from_defaults():
     {"data": {"counts": {"40": 1}}},
     {"data": {"counts": {"2": 1}}},
     {"data": {"starts": 0}},
+    {"data": {"counts": {}}},
+    {"data": {"counts": {"4": 2.7}}},
+    {"data": {"counts": {"4": 2.0}}},
+    {"data": {"counts": {"4": True}}},
+    {"data": {"counts": {"4": "2"}}},
+    {"data": {"counts": {"four": 2}}},
 ], ids=["meta-epochs", "hidden-dim", "dropout", "heads", "val-fraction", "seed-type",
-        "seed-negative", "epochs-type", "chain-count-high", "chain-count-low", "starts"])
+        "seed-negative", "epochs-type", "chain-count-high", "chain-count-low", "starts",
+        "counts-empty", "count-fraction", "count-float", "count-bool", "count-string",
+        "chain-count-name"])
 def test_cli_rejects_bad_config_values_at_load(tmp_path, capsys, config):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(config))

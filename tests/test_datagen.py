@@ -1,6 +1,7 @@
 """Synthetic multimer generation and the source/target dataset builders."""
 
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -244,6 +245,18 @@ def test_multimer_file_roundtrip(tmp_path, m4):
     loaded = load_multimers(path)
     assert set(loaded) == {m4.name}
     assert loaded[m4.name].contact_edges == m4.contact_edges
+
+
+# sha256 of the multimers file below; any change to generation or to the
+# record encoding (key order, float repr, nesting) shows here
+MULTIMERS_FILE_SHA256 = "2c1c5d892ff9946deccdbb835302689fdda0d2f9ffa5f33707fd74f8eb922f82"
+
+
+def test_multimer_file_bytes_are_pinned(tmp_path):
+    ms = gen_multimer_set({3: 2, 4: 1, 6: 1}, seed=41, prefix="pin")
+    path = tmp_path / "multimers.jsonl"
+    save_multimers(path, ms, {m.name: i for i, m in enumerate(ms)})
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == MULTIMERS_FILE_SHA256
 
 
 def test_source_file_roundtrip(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stepasm.errors import LengthMismatchError
+from stepasm.nn import tensor as tensor_module
 from stepasm.nn.model import (
     GINConfig,
     GINParams,
@@ -22,7 +23,7 @@ from stepasm.nn.optim import Adam
 from stepasm.nn.tensor import (
     Tensor,
     add,
-    adds,
+    as_tensor,
     bce_loss,
     concat_rows,
     dropout,
@@ -30,15 +31,11 @@ from stepasm.nn.tensor import (
     listwise_loss,
     mae_loss,
     matmul,
-    mean,
     mul,
-    muls,
-    neighbor_sum,
     relu,
     segment_sum,
     sigmoid,
     sub,
-    tensor_abs,
 )
 from stepasm.training import TrainConfig, fit, group_split
 
@@ -62,14 +59,22 @@ def numeric_grad(f, x, eps=1e-6):
     return g
 
 
+def smooth_scalar(out):
+    """mean(out * out), as mae_loss of out * out against -1: the difference
+    stays at 1 or more, away from the kink of the absolute value."""
+    return mae_loss(mul(out, out), np.full(out.data.size, -1.0))
+
+
 @pytest.mark.parametrize("op", ["add", "sub", "mul", "matmul", "relu", "sigmoid",
-                                "abs", "mean", "adds", "muls", "gather",
-                                "concat", "neighbor", "segment", "listwise"])
+                                "add_scalar", "mul_scalar", "gather", "concat",
+                                "message_passing", "segment", "mae", "listwise"])
 def test_op_gradients_match_finite_differences(op):
     rng = np.random.default_rng(hash(op) % 2**32)
     a = Tensor(rng.normal(size=(4, 3)) + 0.3, requires_grad=True)
     b = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    # each target 0.5 away from its prediction, clear of the kink
+    mae_target = a.data.ravel() + np.where(rng.random(12) < 0.5, -0.5, 0.5)
 
     def build():
         if op == "add":
@@ -84,26 +89,25 @@ def test_op_gradients_match_finite_differences(op):
             out = relu(a)  # offset keeps entries away from the kink
         elif op == "sigmoid":
             out = sigmoid(a)
-        elif op == "abs":
-            out = tensor_abs(a)
-        elif op == "mean":
-            return mean(a)
-        elif op == "adds":
-            out = adds(a, 1.7)
-        elif op == "muls":
-            out = muls(a, -2.5)
+        elif op == "add_scalar":
+            out = add(a, 1.7)
+        elif op == "mul_scalar":
+            out = mul(a, -2.5)
         elif op == "gather":
             out = gather_rows(a, [2, 0, 2])
         elif op == "concat":
             out = concat_rows([a, b])
-        elif op == "neighbor":
-            out = neighbor_sum(a, np.array([0, 1, 2]), np.array([1, 2, 3]), 4)
+        elif op == "message_passing":
+            # row i sums a[src] over the edges src -> i, as gin_encode does
+            out = segment_sum(gather_rows(a, [0, 1, 2]), np.array([1, 2, 3]), 4)
         elif op == "segment":
             out = segment_sum(a, np.array([0, 1, 0, 1]), 2)
+        elif op == "mae":
+            return mae_loss(a, mae_target)
         elif op == "listwise":
             # three interleaved decisions; decision 2 has no label above 0.99
             return listwise_loss(sigmoid(a), LISTWISE_Y, LISTWISE_GROUPS, 0.99, 0.05)
-        return mean(mul(out, out))  # scalarize smoothly
+        return smooth_scalar(out)
 
     loss = build()
     loss.backward()
@@ -186,7 +190,7 @@ def test_readout_permutation_invariant():
 
 
 def test_directed_edges_match_the_sorted_tuple_reference():
-    # neighbor_sum accumulates in this order, so it must be exactly the
+    # message passing accumulates in this order, so it must be exactly the
     # (dst, src) order of Python's tuple sort, duplicates and self-loops too
     rng = np.random.default_rng(19)
     for _ in range(200):
@@ -240,6 +244,23 @@ def test_matmul_skips_the_product_of_a_frozen_operand(frozen):
     assert np.array_equal(trained.grad, np.zeros_like(want) + want)
 
 
+@pytest.mark.parametrize("constant", ["scalar", "frozen"])
+def test_mul_skips_the_product_of_a_constant_operand(monkeypatch, constant):
+    # a python scalar or a frozen tensor takes no gradient, so mul's backward
+    # forms only the trainable operand's product, as matmul's does
+    rng = np.random.default_rng(13)
+    a = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    b = 2.5 if constant == "scalar" else Tensor(rng.normal(size=(5, 3)))
+    routed = []
+    real = tensor_module._unbroadcast
+    monkeypatch.setattr(tensor_module, "_unbroadcast",
+                        lambda g, shape: routed.append(shape) or real(g, shape))
+    seed = rng.normal(size=(5, 3))
+    mul(a, b).backward(seed)
+    assert routed == [(5, 3)]
+    assert np.array_equal(a.grad, seed * as_tensor(b).data + 0.0)
+
+
 def test_adam_first_step_closed_form():
     # after one step with constant grad g: m_hat = g, v_hat = g^2,
     # update = -lr * g / (|g| + eps) = -lr * sign(g) (approx)
@@ -268,12 +289,13 @@ def test_adam_skips_parameters_without_grad():
 def test_dropout_train_vs_eval():
     rng = np.random.default_rng(3)
     x = Tensor(np.ones((200, 50)), requires_grad=True)
-    kept = dropout(x, 0.3, rng, training=True)
+    kept = dropout(x, 0.3, rng)
     zeros = np.mean(kept.data == 0.0)
     assert 0.2 < zeros < 0.4
     # inverted scaling keeps the expectation
     assert np.mean(kept.data) == pytest.approx(1.0, abs=0.05)
-    assert np.array_equal(dropout(x, 0.3, rng, training=False).data, x.data)
+    # eval mode is rng=None
+    assert np.array_equal(dropout(x, 0.3, None).data, x.data)
 
 
 def _listwise_of_logits(z, groups, temperature=0.05):

@@ -10,7 +10,7 @@ from stepasm.errors import (
     ShapeMismatchError,
 )
 from stepasm.nn.model import GINConfig, GINParams, TaskHeadParams, gin_encode, params_hash
-from stepasm.nn.tensor import Tensor, add, bce_loss, gather_rows, listwise_loss, muls
+from stepasm.nn.tensor import Tensor, add, bce_loss, gather_rows, listwise_loss, mul
 from stepasm.prompt import (
     LISTWISE_TEMPERATURE,
     LISTWISE_WEIGHT,
@@ -123,10 +123,10 @@ def test_tuning_batches_hold_whole_decisions(setup, monkeypatch):
     batches = []
     forward = prompt_mod.pipeline_forward_batch
 
-    def recording(batch, *args, training=False, **kwargs):
-        if training:
+    def recording(batch, *args, rng=None, **kwargs):
+        if rng is not None:  # a training batch; validation runs without an rng
             batches.append([it.decision for it in batch])
-        return forward(batch, *args, training=training, **kwargs)
+        return forward(batch, *args, rng=rng, **kwargs)
 
     monkeypatch.setattr(prompt_mod, "pipeline_forward_batch", recording)
     cfg = PromptTuneConfig(
@@ -239,7 +239,7 @@ def test_batched_pipeline_matches_single(setup):
         assert batch[i] == pytest.approx(one, abs=1e-10)
 
 
-def per_item_forward(items, gin, head, prompt, *, training=False, rng=None):
+def per_item_forward(items, gin, head, prompt, *, rng=None):
     """Reference: each item's condition graph and candidate get rows of their
     own, and the prompt MLP runs on both query rows of every item."""
     feats, edges, d_rows, u_rows = [], [], [], []
@@ -251,10 +251,10 @@ def per_item_forward(items, gin, head, prompt, *, training=False, rng=None):
         d_rows.append(offset + it.d_local)
         u_rows.append(offset + k)
         offset += k + 1
-    h = gin_encode(np.concatenate(feats), edges, gin, training=training, rng=rng)
+    h = gin_encode(np.concatenate(feats), edges, gin, rng=rng)
     h_d, h_u = gather_rows(h, d_rows), gather_rows(h, u_rows)
-    h_x, h_y = prompt_embeddings(h_d, h_u, prompt, training=training, rng=rng)
-    return score_paths(h_d, h_x, h_y, h_u, gin, head, training=training, rng=rng)
+    h_x, h_y = prompt_embeddings(h_d, h_u, prompt, rng=rng)
+    return score_paths(h_d, h_x, h_y, h_u, gin, head, rng=rng)
 
 
 def _row_keys(items):
@@ -271,8 +271,8 @@ def _tuning_grads(forward, items, gin, head, prompt):
     ids = {}
     groups = [ids.setdefault(it.decision, len(ids)) for it in items]
     labels = np.array([it.y for it in items])
-    pred = forward(items, gin, head, prompt, training=True, rng=np.random.default_rng(0))
-    loss = add(bce_loss(pred, labels), muls(listwise_loss(
+    pred = forward(items, gin, head, prompt, rng=np.random.default_rng(0))
+    loss = add(bce_loss(pred, labels), mul(listwise_loss(
         pred, labels, groups, KEEP_THRESHOLD, LISTWISE_TEMPERATURE), LISTWISE_WEIGHT))
     for t in prompt.trainable_named().values():
         t.grad = None
