@@ -67,7 +67,8 @@ def smooth_scalar(out):
 
 @pytest.mark.parametrize("op", ["add", "sub", "mul", "matmul", "relu", "sigmoid",
                                 "add_scalar", "mul_scalar", "gather", "concat",
-                                "message_passing", "segment", "mae", "listwise"])
+                                "message_passing", "segment", "abs", "mean", "mae",
+                                "listwise"])
 def test_op_gradients_match_finite_differences(op):
     rng = np.random.default_rng(hash(op) % 2**32)
     a = Tensor(rng.normal(size=(4, 3)) + 0.3, requires_grad=True)
@@ -75,6 +76,8 @@ def test_op_gradients_match_finite_differences(op):
     w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
     # each target 0.5 away from its prediction, clear of the kink
     mae_target = a.data.ravel() + np.where(rng.random(12) < 0.5, -0.5, 0.5)
+    above_a = a.data.ravel() + 0.5
+    below_sum = (a.data + b.data).ravel() - 0.5
 
     def build():
         if op == "add":
@@ -102,6 +105,12 @@ def test_op_gradients_match_finite_differences(op):
             out = segment_sum(gather_rows(a, [0, 1, 2]), np.array([1, 2, 3]), 4)
         elif op == "segment":
             out = segment_sum(a, np.array([0, 1, 0, 1]), 2)
+        elif op == "abs":
+            # every difference negative: the absolute value's flipped branch
+            return mae_loss(a, above_a)
+        elif op == "mean":
+            # every difference positive: the mean alone, through add to both operands
+            return mae_loss(add(a, b), below_sum)
         elif op == "mae":
             return mae_loss(a, mae_target)
         elif op == "listwise":
