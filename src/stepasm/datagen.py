@@ -266,6 +266,24 @@ def make_source_dataset(multimers, samples_per_multimer, seed):
     return out
 
 
+def label_actions(oracle, conditions):
+    """(condition, v_d, v_u, extension, label) for every docking action on
+    each ``(nodes, edges)`` condition over ``oracle.multimer``: conditions in
+    order, then v_d over the condition's nodes, then v_u over the chains
+    outside it. The extensions are labelled by one ``oracle.scores`` call."""
+    actions = []
+    for cond in conditions:
+        nodes, edges = cond
+        undocked = [v for v in range(oracle.multimer.n) if v not in nodes]
+        for v_d in nodes:
+            for v_u in undocked:
+                ext = (tuple(sorted(nodes + (v_u,))),
+                       canonical_edges(edges + ((v_d, v_u),)))
+                actions.append((cond, v_d, v_u, ext))
+    labels = oracle.scores([ext for *_, ext in actions])
+    return [action + (y,) for action, y in zip(actions, labels)]
+
+
 def make_target_dataset(multimer, seed, starts=1):
     """Docking-action records grown level by level from random start chains.
 
@@ -276,9 +294,10 @@ def make_target_dataset(multimer, seed, starts=1):
     included — and records every possible extension with its true label, so
     wrong docking actions appear at every condition size.
 
-    Conditions and extensions are ``(nodes, edges)`` pairs, labelled by one
-    ``Oracle`` that scores each distinct extension once. Records come out in
-    the order they are first made, one per (condition, v_d, v_u).
+    Conditions and extensions are ``(nodes, edges)`` pairs, labelled by
+    ``label_actions`` through one ``Oracle``, which scores each distinct
+    extension once. Records come out in the order they are first made, one
+    per (condition, v_d, v_u).
     """
     if multimer.n < 3:
         raise ValueError("target data needs at least 3 chains")
@@ -288,29 +307,12 @@ def make_target_dataset(multimer, seed, starts=1):
     seen_conditions = set(conditions)
     retained = list(conditions)
     oracle = Oracle(multimer)
-    labels = {}
     records = {}
-
-    def extensions(conds):
-        """(condition, v_d, v_u, extension, label) for every docking action on
-        ``conds``; the extensions not labelled before are scored in one batch."""
-        actions = []
-        for cond in conds:
-            nodes, edges = cond
-            undocked = [v for v in range(multimer.n) if v not in nodes]
-            for v_d in nodes:
-                for v_u in undocked:
-                    ext = (tuple(sorted(nodes + (v_u,))),
-                           canonical_edges(edges + ((v_d, v_u),)))
-                    actions.append((cond, v_d, v_u, ext))
-        fresh = list(dict.fromkeys(ext for *_, ext in actions if ext not in labels))
-        labels.update(zip(fresh, oracle.scores(fresh)))
-        return [(cond, v_d, v_u, ext, labels[ext]) for cond, v_d, v_u, ext in actions]
 
     for size in range(1, multimer.n - 1):
         grown = []
         best_below = None
-        for cond, v_d, v_u, ext, y in extensions(conditions):
+        for cond, v_d, v_u, ext, y in label_actions(oracle, conditions):
             if y > KEEP_THRESHOLD:
                 records.setdefault((cond, v_d, v_u), y)
                 if ext not in seen_conditions:
@@ -334,7 +336,7 @@ def make_target_dataset(multimer, seed, starts=1):
 
     # final sweep: every retained condition, every extension, true labels —
     # this is where wrong actions (low y) enter the dataset
-    for cond, v_d, v_u, _, y in extensions(retained):
+    for cond, v_d, v_u, _, y in label_actions(oracle, retained):
         records.setdefault((cond, v_d, v_u), y)
     return [
         TargetInstance(multimer=multimer.name, n=multimer.n, cond_nodes=nodes,
@@ -509,7 +511,7 @@ def load_target_dataset(path, multimers):
         inst = TargetInstance(
             multimer=m.name,
             n=m.n,
-            cond_nodes=tuple(int(v) for v in r["cond_nodes"]),
+            cond_nodes=tuple(sorted(int(v) for v in r["cond_nodes"])),
             cond_edges=canonical_edges(r["cond_edges"]),
             v_d=int(r["v_d"]),
             v_u=int(r["v_u"]),

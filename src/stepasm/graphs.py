@@ -396,14 +396,16 @@ class Oracle:
     """Assembly and correctness of trees over one multimer, for one labelling call.
 
     Keeps each Kabsch fit its placements compute (see ``_compose``), so scoring
-    every tree of an N-chain complex fits at most N(N-1)(N-2) of them. Make
-    one per call and drop it after: the fits hold only for the dimer library
+    every tree of an N-chain complex fits at most N(N-1)(N-2) of them, and the
+    score of each tree it has scored, so no tree is superposed twice. Make one
+    per call and drop it after: fits and scores hold only for the multimer
     they came from.
     """
 
     def __init__(self, multimer):
         self.multimer = multimer
         self._steps = {}
+        self._scores = {}
 
     def _poses(self, tree):
         nodes, edges = tree
@@ -424,22 +426,23 @@ class Oracle:
         ``canonical_edges``. Pairs are generated by the caller and trusted;
         file records are validated as ``AssemblyGraph`` when loaded.
 
-        Trees over the same chains are built and superposed onto their ground
-        truth in batches: each chain's copies from one dimer are moved by the
-        stacked transforms of every tree that places it from that dimer.
+        Only trees not scored before are built, each once, in first-seen
+        order. Trees over the same chains are built and superposed onto their
+        ground truth in batches: each chain's copies from one dimer are moved
+        by the stacked transforms of every tree that places it from that dimer.
         """
         m = self.multimer
-        out = [0.0] * len(trees)
+        fresh = [tree for tree in dict.fromkeys(trees) if tree not in self._scores]
         by_nodes = {}
-        for i, (nodes, _) in enumerate(trees):
-            by_nodes.setdefault(nodes, []).append(i)
+        for tree in fresh:
+            by_nodes.setdefault(tree[0], []).append(tree)
         for nodes, members in by_nodes.items():
             lengths = [m.gt_coords[v].shape[0] for v in nodes]
             bounds = np.cumsum([0] + lengths).tolist()
             gt = np.concatenate([m.gt_coords[v] for v in nodes])
             for lo in range(0, len(members), _SCORE_BATCH):
                 batch = members[lo:lo + _SCORE_BATCH]
-                poses = [self._poses(trees[i]) for i in batch]
+                poses = [self._poses(tree) for tree in batch]
                 preds = np.empty((len(batch),) + gt.shape)
                 for k, v in enumerate(nodes):
                     by_partner = {}
@@ -457,9 +460,8 @@ class Oracle:
                         preds[rows, bounds[k]:bounds[k + 1]] = (
                             copy @ np.swapaxes(rotations, 1, 2) + translations[:, None]
                         )
-                for i, tm in zip(batch, tm_scores(preds, gt).tolist()):
-                    out[i] = tm
-        return out
+                self._scores.update(zip(batch, tm_scores(preds, gt).tolist()))
+        return [self._scores[tree] for tree in trees]
 
 
 def assemble(graph, multimer):

@@ -42,6 +42,8 @@ class MetaStageConfig:
         if min(self.task_batch, self.support_size, self.query_size,
                self.inner_steps, self.epochs, self.pool_size) < 1:
             raise ValueError("meta config counts must be positive")
+        if self.adapt_steps < 0:
+            raise ValueError("adapt_steps must be non-negative (0 skips adaptation)")
 
 
 @dataclass(frozen=True)

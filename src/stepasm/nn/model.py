@@ -143,14 +143,6 @@ class GINParams:
             out.update(mlp.named(f"{prefix}.layer{k}"))
         return out
 
-    def copy(self):
-        clone = GINParams(
-            self.config,
-            [Tensor(e.data.copy(), requires_grad=e.requires_grad) for e in self.eps],
-            [m.copy() for m in self.mlps],
-        )
-        return clone
-
     def set_trainable(self, flag):
         for e in self.eps:
             e.requires_grad = bool(flag)
@@ -175,9 +167,6 @@ class TaskHeadParams:
 
     def named(self, prefix="head"):
         return self.mlp.named(prefix)
-
-    def copy(self):
-        return TaskHeadParams(self.mlp.copy())
 
     def set_trainable(self, flag):
         self.mlp.set_trainable(flag)
@@ -234,21 +223,14 @@ def readout_regress(features, edges, gin, head):
 
 
 def pack_graphs(graphs):
-    """Disjoint union of (features, local_edges) pairs for one batched pass."""
-    feats, all_edges, seg = [], [], []
-    offset = 0
-    for i, (f, edges) in enumerate(graphs):
-        f = np.asarray(f, dtype=np.float64)
-        feats.append(f)
-        all_edges.extend((a + offset, b + offset) for a, b in edges)
-        seg.append(np.full(f.shape[0], i, dtype=np.intp))
-        offset += f.shape[0]
-    return (
-        np.concatenate(feats, axis=0),
-        all_edges,
-        np.concatenate(seg),
-        len(graphs),
-    )
+    """Disjoint union of (features, local_edges) pairs for one batched pass:
+    (features, edges, segment_ids, num_graphs), graph i's rows tagged i."""
+    feats = [np.asarray(f, dtype=np.float64) for f, _ in graphs]
+    sizes = [f.shape[0] for f in feats]
+    offsets = np.cumsum([0] + sizes[:-1]).tolist()
+    edges = [(a + o, b + o) for o, (_, local) in zip(offsets, graphs) for a, b in local]
+    seg = np.repeat(np.arange(len(graphs), dtype=np.intp), sizes)
+    return np.concatenate(feats, axis=0), edges, seg, len(graphs)
 
 
 def named_union(*param_dicts):

@@ -39,13 +39,14 @@ class PretrainConfig:
 
 
 def source_graphs(instances, multimers):
-    """(features, local_edges, label, multimer) tuples ready for batching."""
-    out = []
-    for inst in instances:
-        m = multimers[inst.multimer]
-        graph = inst.graph(m)
-        out.append((graph.attrs, graph.local_edges(), inst.y, inst.multimer))
-    return out
+    """(features, local_edges, label, multimer) tuples ready for batching.
+
+    A source tree spans all of its multimer's chains, so its features are the
+    multimer's chain features and its edges are already local. Records are
+    generated, or validated when loaded (``load_source_dataset``).
+    """
+    return [(multimers[inst.multimer].chain_features, inst.edges, inst.y, inst.multimer)
+            for inst in instances]
 
 
 def _batch_forward(graphs, gin, head):

@@ -18,7 +18,7 @@ from .errors import (
     NodeCollisionError,
     ShapeMismatchError,
 )
-from .nn.model import MLPParams, forward_batch, gin_encode
+from .nn.model import MLPParams, forward_batch, gin_encode, pack_graphs
 from .nn.tensor import (
     Tensor,
     as_tensor,
@@ -64,6 +64,8 @@ class PromptTuneConfig:
     def __post_init__(self):
         if self.mlp_hidden < 1 or self.heads < 1:
             raise ValueError("mlp_hidden and heads must be positive")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
 
 
 class PromptParams:
@@ -288,27 +290,18 @@ def query_embeddings(items, gin, *, rng=None):
     """
     if not items:
         raise EmptyDatasetError("no items to score")
-    starts, feats, edges = {}, [], []
-    offset = 0
-
-    def first_row(key, features, local_edges):
-        nonlocal offset
-        if key not in starts:
-            starts[key] = offset
-            feats.append(features)
-            edges.extend((a + offset, b + offset) for a, b in local_edges)
-            offset += features.shape[0]
-        return starts[key]
-
-    d_rows = np.empty(len(items), dtype=np.intp)
-    u_rows = np.empty(len(items), dtype=np.intp)
-    for i, it in enumerate(items):
-        d_rows[i] = it.d_local + first_row(
-            (it.multimer, it.cond_nodes, it.cond_edges), it.cond_features, it.cond_edges)
-        u_rows[i] = first_row(
-            (it.multimer, (it.v_u,), ()),
-            np.asarray(it.u_feature, dtype=np.float64)[None, :], ())
-    h = gin_encode(np.concatenate(feats, axis=0), edges, gin, rng=rng)
+    keys = [((it.multimer, it.cond_nodes, it.cond_edges), (it.multimer, (it.v_u,), ()))
+            for it in items]
+    graphs = {}
+    for it, (cond, cand) in zip(items, keys):
+        graphs.setdefault(cond, (it.cond_features, it.cond_edges))
+        graphs.setdefault(cand, (np.asarray(it.u_feature, dtype=np.float64)[None, :], ()))
+    feats, edges, seg, count = pack_graphs(list(graphs.values()))
+    first = dict(zip(graphs, np.searchsorted(seg, np.arange(count)).tolist()))
+    d_rows = np.array([first[cond] + it.d_local for it, (cond, _) in zip(items, keys)],
+                      dtype=np.intp)
+    u_rows = np.array([first[cand] for _, cand in keys], dtype=np.intp)
+    h = gin_encode(feats, edges, gin, rng=rng)
     return h, d_rows, u_rows
 
 

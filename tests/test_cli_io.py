@@ -407,10 +407,11 @@ def test_partial_sections_fill_from_defaults():
     {"data": {"counts": {"4": True}}},
     {"data": {"counts": {"4": "2"}}},
     {"data": {"counts": {"four": 2}}},
+    {"meta": {"adapt_steps": -3}},
 ], ids=["meta-epochs", "hidden-dim", "dropout", "heads", "val-fraction", "seed-type",
         "seed-negative", "epochs-type", "chain-count-high", "chain-count-low", "starts",
         "counts-empty", "count-fraction", "count-float", "count-bool", "count-string",
-        "chain-count-name"])
+        "chain-count-name", "adapt-steps-negative"])
 def test_cli_rejects_bad_config_values_at_load(tmp_path, capsys, config):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(config))
@@ -419,6 +420,10 @@ def test_cli_rejects_bad_config_values_at_load(tmp_path, capsys, config):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert not out.exists()  # rejected before any work
+
+
+def test_zero_adapt_steps_means_no_adaptation_step():
+    assert config_from_dict({"meta": {"adapt_steps": 0}}).meta_config().adapt_steps == 0
 
 
 def test_cli_rejects_out_of_range_chain_count_flag(tmp_path, capsys):

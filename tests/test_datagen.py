@@ -35,6 +35,8 @@ from stepasm.graphs import (
     is_labeled_tree,
     place_chains,
 )
+from stepasm.pretrain import source_graphs
+from stepasm.prompt import build_items
 
 
 @pytest.fixture(scope="module")
@@ -273,6 +275,29 @@ def test_target_file_roundtrip(tmp_path):
     path = tmp_path / "target.jsonl"
     save_dataset(path, tgt)
     assert load_target_dataset(path, {m.name: m}) == tgt
+    again = tmp_path / "again.jsonl"
+    save_dataset(again, load_target_dataset(path, {m.name: m}))
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_target_load_sorts_condition_nodes(tmp_path):
+    """A record written with its condition nodes out of order joins the
+    decision of the other records of its condition."""
+    m = gen_synthetic_multimer(5, np.random.default_rng(26))
+    tgt = make_target_dataset(m, np.random.default_rng(27), starts=m.n)
+    rows = [dataclasses.asdict(r) for r in tgt]
+    k = next(i for i, r in enumerate(rows) if len(r["cond_nodes"]) == 3)
+    rows[k]["cond_nodes"] = rows[k]["cond_nodes"][::-1]
+    path = tmp_path / "target.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    loaded = load_target_dataset(path, {m.name: m})
+    assert loaded == tgt
+    items = build_items(loaded, {m.name: m})
+    siblings = [it for i, it in enumerate(items)
+                if i != k and tgt[i].cond_nodes == tgt[k].cond_nodes
+                and tgt[i].cond_edges == tgt[k].cond_edges]
+    assert siblings
+    assert all(it.decision == items[k].decision for it in siblings)
 
 
 def test_load_source_rejects_empty(tmp_path):
@@ -298,7 +323,8 @@ def test_source_instance_graph_binds_features():
 
 
 def test_labelling_builds_no_assembly_graph(monkeypatch):
-    """The oracle and the dataset builders label plain (nodes, edges) pairs."""
+    """The oracle and the dataset builders label plain (nodes, edges) pairs,
+    and pretraining batches source records without building a graph."""
     made = []
     original = AssemblyGraph.__post_init__
 
@@ -309,7 +335,8 @@ def test_labelling_builds_no_assembly_graph(monkeypatch):
     monkeypatch.setattr(AssemblyGraph, "__post_init__", counted)
     ms = gen_multimer_set({3: 1, 4: 1, 5: 1, 6: 1}, seed=23)
     enumerate_scores(ms[-1])
-    make_source_dataset(ms[:3], 8, seed=24)
+    source = make_source_dataset(ms[:3], 8, seed=24)
+    source_graphs(source, {m.name: m for m in ms})
     for i, m in enumerate(ms):
         make_target_dataset(m, np.random.default_rng([25, i]), starts=m.n)
     assert made == []

@@ -163,6 +163,25 @@ def test_enumerate_scores_fits_each_kabsch_triple_at_most_once(monkeypatch):
     assert len(calls) <= 6 * 5 * 4
 
 
+def test_oracle_superposes_each_tree_once(monkeypatch):
+    m = gen_synthetic_multimer(5, seed=30)
+    trees = [(tuple(range(5)), edges) for edges in enumerate_uca(5)[:40]]
+    trees += [((0, 1, 3), ((0, 1), (1, 3))), ((0, 1, 3), ((0, 3), (1, 3)))]
+    oracle = graphs.Oracle(m)
+    calls = []
+    superpose = graphs.tm_scores
+    monkeypatch.setattr(graphs, "tm_scores", lambda *a: calls.append(a) or superpose(*a))
+    first = oracle.scores(trees)
+    assert sum(len(pred) for pred, _ in calls) == len(trees)
+    calls.clear()
+    # asked again, in another order and with repeats: no superposition at all
+    again = trees[::-1] + trees[:3]
+    assert oracle.scores(again) == first[::-1] + first[:3]
+    assert calls == []
+    assert oracle.scores(trees + [trees[0]]) == first + [first[0]]
+    assert calls == []
+
+
 def _without_dimer(m):
     lib = DimerLibrary()
     for a, b in m.dimers.pairs():

@@ -381,6 +381,14 @@ def test_tune_config_defaults_to_bce():
     assert cfg.train.lr == pytest.approx(0.001)
 
 
+@pytest.mark.parametrize("rate", [1.5, 1.0, -0.1])
+def test_tune_config_rejects_dropout_outside_unit_interval(rate):
+    # at rate >= 1 every dropout mask is zero or negative: tuning trains
+    # nothing but the MLP's last bias, or every loss is NaN
+    with pytest.raises(ValueError, match="dropout"):
+        PromptTuneConfig(dropout=rate)
+
+
 def test_empty_items_rejected(setup):
     _, _, _, gin, head, _ = setup
     with pytest.raises(EmptyDatasetError):
