@@ -8,11 +8,13 @@ still has at most 7 chains the meta-initialized prompt scores the candidates;
 beyond that the large-scale-adapted prompt takes over.
 
 Per step, only stage 2 (the 4-node prompt path and the head) runs once per
-candidate pair. The condition graph and the undocked chains are encoded once,
-k + (N-k) rows, and in single-head mode the prompt MLP also runs on those
-k + (N-k) distinct rows only. The first step is one scoring call: its
-condition is the edgeless graph over all N chains, in which each chain
-encodes exactly as in its singleton {d}.
+candidate pair, on the path's fixed shape: with the paths stored role-major,
+message passing and the readout are block sums (prompt.score_paths), with no
+edge list and no scatter. The condition graph and the undocked chains are
+encoded once, k + (N-k) rows, and in single-head mode the prompt MLP also
+runs on those k + (N-k) distinct rows only. The first step is one scoring
+call: its condition is the edgeless graph over all N chains, in which each
+chain encodes exactly as in its singleton {d}.
 """
 
 import logging

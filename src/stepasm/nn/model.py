@@ -18,6 +18,7 @@ from .tensor import (
     Tensor,
     add,
     as_tensor,
+    block_sum,
     dropout,
     gather_rows,
     matmul,
@@ -181,6 +182,26 @@ def _directed_edges(edges):
     return src[order], dst[order]
 
 
+def _node_rows(features, gin):
+    h = as_tensor(features)
+    if h.data.ndim != 2 or h.data.shape[1] != gin.config.input_dim:
+        raise ShapeMismatchError(
+            f"node features must be (n, {gin.config.input_dim}), got {h.data.shape}"
+        )
+    return h
+
+
+def _gin_layers(h, gin, neighbour_sum, rng):
+    """The GIN layers over node rows h; ``neighbour_sum(h)`` sums each row's
+    neighbour rows, and is None when no node has a neighbour."""
+    for eps, mlp in zip(gin.eps, gin.mlps):
+        agg = mul(h, add(eps, 1.0))
+        if neighbour_sum is not None:
+            agg = add(agg, neighbour_sum(h))
+        h = mlp.forward(agg, rng=rng, drop=gin.config.dropout)
+    return h
+
+
 def gin_encode(features, edges, gin, *, rng=None):
     """Per-node embedding matrix for one graph (or a disjoint union of graphs).
 
@@ -188,23 +209,20 @@ def gin_encode(features, edges, gin, *, rng=None):
     edge once as a local index pair. Isolated nodes simply get no neighbor
     term. With an rng the encoder runs in training mode, with dropout.
     """
-    h = as_tensor(features)
-    if h.data.ndim != 2 or h.data.shape[1] != gin.config.input_dim:
-        raise ShapeMismatchError(
-            f"node features must be (n, {gin.config.input_dim}), got {h.data.shape}"
-        )
+    h = _node_rows(features, gin)
     num_nodes = h.data.shape[0]
     edges = list(edges)
+    neighbour_sum = None
     if edges:
         src, dst = _directed_edges(edges)
-        if src.size and (src.max() >= num_nodes or dst.max() >= num_nodes):
+        # src holds both ends of every edge
+        if src.min() < 0 or src.max() >= num_nodes:
             raise ShapeMismatchError("edge index out of range")
-    for eps, mlp in zip(gin.eps, gin.mlps):
-        agg = mul(h, add(eps, 1.0))
-        if edges:
-            agg = add(agg, segment_sum(gather_rows(h, src), dst, num_nodes))
-        h = mlp.forward(agg, rng=rng, drop=gin.config.dropout)
-    return h
+
+        def neighbour_sum(h):
+            return segment_sum(gather_rows(h, src), dst, num_nodes)
+
+    return _gin_layers(h, gin, neighbour_sum, rng)
 
 
 def forward_batch(features, edges, segment_ids, num_graphs, gin, head, *, rng=None):
@@ -212,6 +230,21 @@ def forward_batch(features, edges, segment_ids, num_graphs, gin, head, *, rng=No
     eval mode unless an rng is given."""
     h = gin_encode(features, edges, gin, rng=rng)
     pooled = segment_sum(h, segment_ids, num_graphs)
+    return head.score(pooled, rng=rng, drop=gin.config.dropout)
+
+
+def forward_blocks(features, width, neighbours, gin, head, *, rng=None):
+    """(width, 1) scores for ``width`` graphs of one shape, stored node-major:
+    row i of node r is graph i's node r, at r * width + i, and node r's
+    neighbours are the nodes ``neighbours[r]``, in ascending order.
+
+    The same numbers as forward_batch over the explicit edges and segment
+    ids, bit for bit, without an edge list: message passing and the readout
+    are block sums. Eval mode unless an rng is given.
+    """
+    h = _gin_layers(_node_rows(features, gin), gin,
+                    lambda h: block_sum(h, width, neighbours), rng)
+    pooled = block_sum(h, width, (tuple(range(len(neighbours))),))
     return head.score(pooled, rng=rng, drop=gin.config.dropout)
 
 

@@ -18,7 +18,7 @@ from .errors import (
     NodeCollisionError,
     ShapeMismatchError,
 )
-from .nn.model import MLPParams, forward_batch, gin_encode, pack_graphs
+from .nn.model import MLPParams, forward_batch, forward_blocks, gin_encode, pack_graphs
 from .nn.tensor import (
     Tensor,
     as_tensor,
@@ -32,6 +32,8 @@ from .nn.tensor import (
 from .training import TrainConfig, fit
 
 PROMPT_EDGES = ((0, 1), (1, 2), (2, 3))
+# the neighbours of each node of that path, in ascending order
+PATH_NEIGHBOURS = ((1,), (0, 2), (1, 3), (2,))
 
 # The frozen encoder only ever saw node features inside [0, ~0.65], so the
 # prompt MLP squashes its output into that range; an unbounded output can
@@ -348,14 +350,15 @@ def score_rows(h, d_rows, u_rows, gin, head, prompt, *, rng=None):
 def score_paths(h_d, h_x, h_y, h_u, gin, head, *, rng=None):
     """Stage 2: (B, 1) probabilities of B prompt paths d - x - y - u.
 
-    Each argument holds one row per path; all B paths go through the encoder
-    as one disjoint union and are sum-pooled per path before the head.
+    Each argument holds one row per path. The B paths go through the frozen
+    encoder as one node-major stack, row i of role r at r * B + i, so that
+    message passing and the sum readout are block sums over the fixed path
+    (forward_blocks): no edge list and no scatter. The result is bit-equal to
+    forward_batch over the B paths' disjoint union.
     """
     b = h_d.data.shape[0]
-    path_feats = concat_rows([h_d, h_x, h_y, h_u])  # row i of role r at r * b + i
-    path_edges = [(r * b + i, s * b + i) for r, s in PROMPT_EDGES for i in range(b)]
-    seg = np.tile(np.arange(b, dtype=np.intp), 4)
-    return forward_batch(path_feats, path_edges, seg, b, gin, head, rng=rng)
+    path_feats = concat_rows([h_d, h_x, h_y, h_u])
+    return forward_blocks(path_feats, b, PATH_NEIGHBOURS, gin, head, rng=rng)
 
 
 def score_candidates(chain_features, cond_nodes, cond_edges, pairs, gin, head, prompt):
@@ -379,7 +382,12 @@ def score_candidates(chain_features, cond_nodes, cond_edges, pairs, gin, head, p
 
 
 def pipeline_forward(cond_graph, v_d, v_u, u_feature, gin, head, prompt):
-    """Linking probability in (0, 1) for a single docking action (eval mode)."""
+    """Linking probability in (0, 1) for a single docking action (eval mode).
+
+    The reference that batched scoring is checked against: its stage 2 runs
+    the prompt graph as a general graph (forward_batch over its edges), not
+    through the block sums of score_paths.
+    """
     if v_d not in cond_graph.nodes:
         raise ValueError(f"docked node {v_d} not in the condition graph")
     h, rows = compute_node_embeddings(cond_graph, v_u, u_feature, gin)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stepasm.errors import LengthMismatchError
+from stepasm.errors import LengthMismatchError, ShapeMismatchError
 from stepasm.nn import tensor as tensor_module
 from stepasm.nn.model import (
     GINConfig,
@@ -25,6 +25,7 @@ from stepasm.nn.tensor import (
     add,
     as_tensor,
     bce_loss,
+    block_sum,
     concat_rows,
     dropout,
     gather_rows,
@@ -37,6 +38,7 @@ from stepasm.nn.tensor import (
     sigmoid,
     sub,
 )
+from stepasm.prompt import PATH_NEIGHBOURS, PROMPT_EDGES
 from stepasm.training import TrainConfig, fit, group_split
 
 
@@ -67,8 +69,8 @@ def smooth_scalar(out):
 
 @pytest.mark.parametrize("op", ["add", "sub", "mul", "matmul", "relu", "sigmoid",
                                 "add_scalar", "mul_scalar", "gather", "concat",
-                                "message_passing", "segment", "abs", "mean", "mae",
-                                "listwise"])
+                                "message_passing", "segment", "block_neighbours",
+                                "block_readout", "abs", "mean", "mae", "listwise"])
 def test_op_gradients_match_finite_differences(op):
     rng = np.random.default_rng(hash(op) % 2**32)
     a = Tensor(rng.normal(size=(4, 3)) + 0.3, requires_grad=True)
@@ -105,6 +107,11 @@ def test_op_gradients_match_finite_differences(op):
             out = segment_sum(gather_rows(a, [0, 1, 2]), np.array([1, 2, 3]), 4)
         elif op == "segment":
             out = segment_sum(a, np.array([0, 1, 0, 1]), 2)
+        elif op == "block_neighbours":
+            # two 4-node paths stored node-major, two rows per node
+            out = block_sum(concat_rows([a, b]), 2, PATH_NEIGHBOURS)
+        elif op == "block_readout":
+            out = block_sum(concat_rows([a, b]), 2, ((0, 1, 2, 3),))
         elif op == "abs":
             # every difference negative: the absolute value's flipped branch
             return mae_loss(a, above_a)
@@ -210,6 +217,52 @@ def test_directed_edges_match_the_sorted_tuple_reference():
         src, dst = _directed_edges(edges)
         assert src.tolist() == [s for _, s in pairs]
         assert dst.tolist() == [d for d, _ in pairs]
+
+
+@pytest.mark.parametrize("width", [1, 2, 7, 128])
+def test_block_sum_is_the_scatter_bit_for_bit(width):
+    # over B paths stored node-major, message passing and the readout as
+    # block sums must give the bits of segment_sum, signed zeros included:
+    # np.add.at adds into +0.0, so a lone -0.0 neighbour comes out +0.0
+    rng = np.random.default_rng(width)
+    data = rng.normal(size=(4 * width, 3))
+    data[rng.random(data.shape) < 0.3] = -0.0
+    seed = rng.normal(size=(4 * width, 3))
+    seed[rng.random(seed.shape) < 0.3] = -0.0
+    src, dst = _directed_edges([(r * width + i, s * width + i)
+                                for r, s in PROMPT_EDGES for i in range(width)])
+    segments = np.tile(np.arange(width), 4)
+    cases = [
+        (lambda a: block_sum(a, width, PATH_NEIGHBOURS),
+         lambda a: segment_sum(gather_rows(a, src), dst, 4 * width), seed),
+        (lambda a: block_sum(a, width, ((0, 1, 2, 3),)),
+         lambda a: segment_sum(a, segments, width), seed[:width]),
+    ]
+    for blocks, scatter, g in cases:
+        got, want = [], []
+        for fn, sink in ((blocks, got), (scatter, want)):
+            a = Tensor(data.copy(), requires_grad=True)
+            out = fn(a)
+            out.backward(g)
+            sink += [out.data, a.grad]
+        for x, y in zip(got, want):
+            assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+def test_block_sum_rejects_rows_that_do_not_fill_the_blocks():
+    a = Tensor(np.ones((7, 3)))
+    with pytest.raises(ShapeMismatchError):
+        block_sum(a, 2, PATH_NEIGHBOURS)
+    with pytest.raises(ShapeMismatchError):
+        block_sum(Tensor(np.ones((8, 3))), 2, ((0, -1),))
+
+
+@pytest.mark.parametrize("edge", [(-1, 0), (0, -3), (0, 3), (5, 1)])
+def test_gin_encode_rejects_edge_indices_out_of_range(edge):
+    # a negative index would wrap around to a node at the end of the array
+    gin = GINParams.init(GINConfig(input_dim=13, hidden_dim=4, num_layers=1), 0)
+    with pytest.raises(ShapeMismatchError, match="out of range"):
+        gin_encode(np.ones((3, 13)), [(0, 1), edge], gin)
 
 
 def test_isolated_nodes_get_self_only_update():

@@ -9,8 +9,25 @@ from stepasm.errors import (
     NodeCollisionError,
     ShapeMismatchError,
 )
-from stepasm.nn.model import GINConfig, GINParams, TaskHeadParams, gin_encode, params_hash
-from stepasm.nn.tensor import Tensor, add, bce_loss, gather_rows, listwise_loss, mul
+from stepasm.nn import model as model_module
+from stepasm.nn.model import (
+    GINConfig,
+    GINParams,
+    TaskHeadParams,
+    forward_batch,
+    gin_encode,
+    named_union,
+    params_hash,
+)
+from stepasm.nn.tensor import (
+    Tensor,
+    add,
+    bce_loss,
+    concat_rows,
+    gather_rows,
+    listwise_loss,
+    mul,
+)
 from stepasm.prompt import (
     LISTWISE_TEMPERATURE,
     LISTWISE_WEIGHT,
@@ -237,6 +254,62 @@ def test_batched_pipeline_matches_single(setup):
             m.chain_features[inst.v_u], gin, head, prompt,
         )
         assert batch[i] == pytest.approx(one, abs=1e-10)
+
+
+def scatter_paths(h_d, h_x, h_y, h_u, gin, head, *, rng=None):
+    """Reference stage 2: the B paths as a general disjoint union, with
+    explicit edges and segment ids."""
+    b = h_d.data.shape[0]
+    feats = concat_rows([h_d, h_x, h_y, h_u])
+    edges = [(r * b + i, s * b + i) for r, s in PROMPT_EDGES for i in range(b)]
+    return forward_batch(feats, edges, np.tile(np.arange(b), 4), b, gin, head, rng=rng)
+
+
+@pytest.mark.parametrize("b", [1, 2, 7, 128])
+@pytest.mark.parametrize("mode", ["eval", "dropout"])
+def test_score_paths_is_the_scatter_bit_for_bit(b, mode):
+    # compared as uint64, so a +0.0 where the scatter gives -0.0 fails too
+    gin = GINParams.init(GINConfig(dropout=0.2), 46)
+    head = TaskHeadParams.init(DIM, 16, 47)
+    params = named_union(gin.named(), head.named())
+    rng = np.random.default_rng(b)
+    data = [rng.uniform(0.0, 0.7, size=(b, DIM)) for _ in range(4)]
+    for x in data:
+        x[rng.random(x.shape) < 0.2] = -0.0
+    seed = rng.normal(size=(b, 1))
+    seed[rng.random(b) < 0.3] = -0.0
+    results = []
+    for stage2 in (score_paths, scatter_paths):
+        for t in params.values():
+            t.grad = None
+        hs = [Tensor(x.copy(), requires_grad=True) for x in data]
+        drop = np.random.default_rng(8) if mode == "dropout" else None
+        out = stage2(*hs, gin, head, rng=drop)
+        out.backward(seed)
+        results.append([out.data] + [h.grad for h in hs]
+                       + [params[k].grad for k in sorted(params)])
+    for got, want in zip(*results):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_single_item_reference_runs_without_block_sums(setup, monkeypatch):
+    # pipeline_forward stays on the general scatter, so the benchmark's check
+    # of greedy probabilities against it does not rest on the block sums
+    m, _, instances, gin, head, _ = setup
+    prompt = _fresh_prompt()
+    inst = instances[0]
+    args = (inst.condition(m), inst.v_d, inst.v_u, m.chain_features[inst.v_u],
+            gin, head, prompt)
+    want = pipeline_forward(*args)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("block_sum called")
+
+    monkeypatch.setattr(model_module, "block_sum", refuse)
+    assert pipeline_forward(*args) == want
+    h = Tensor(np.full((1, DIM), 0.3))
+    with pytest.raises(AssertionError, match="block_sum called"):
+        score_paths(h, h, h, h, gin, head)
 
 
 def per_item_forward(items, gin, head, prompt, *, rng=None):
