@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import ConfigError, ShapeMismatchError
 from .ioutil import atomic_write_bytes
-from .nn.model import GINConfig, GINParams, TaskHeadParams
+from .nn.model import GINConfig, GINParams, MLPParams, TaskHeadParams
+from .nn.tensor import Tensor
 from .prompt import PromptParams
 
 FORMAT_VERSION = 1
@@ -59,7 +60,17 @@ def load_checkpoint(path):
     return components, meta
 
 
+def _mlp(dims):
+    """An MLPParams of the given widths, its arrays left for _fill to set."""
+    return MLPParams(
+        [Tensor(np.empty(shape), requires_grad=True) for shape in zip(dims[:-1], dims[1:])],
+        [Tensor(np.empty(width), requires_grad=True) for width in dims[1:]],
+    )
+
+
 def _fill(named, arrays, tag):
+    """Point each tensor at its stored array, which load_checkpoint made the
+    array's own copy; the tensor's shape is the one the architecture expects."""
     for name, tensor in named.items():
         if name not in arrays:
             raise ConfigError(f"checkpoint missing {tag}/{name}")
@@ -68,7 +79,7 @@ def _fill(named, arrays, tag):
                 f"{tag}/{name}: stored shape {arrays[name].shape} != "
                 f"expected {tensor.data.shape}"
             )
-        tensor.data = np.array(arrays[name])
+        tensor.data = arrays[name]
 
 
 def save_models(path, gin, head, prompts=None, meta=None):
@@ -93,18 +104,26 @@ def save_models(path, gin, head, prompts=None, meta=None):
 
 
 def load_models(path):
-    """Rebuild (gin, head, prompts, meta) from a save_models checkpoint."""
+    """Rebuild (gin, head, prompts, meta) from a save_models checkpoint.
+
+    The parameters are the checkpoint's arrays themselves, one array each,
+    with the requires_grad flags a fresh ``init`` gives.
+    """
     components, meta = load_checkpoint(path)
     try:
         arch = meta["arch"]
-        gin = GINParams.init(GINConfig(**arch["gin_config"]), 0)
+        config = GINConfig(**arch["gin_config"])
+        gin = GINParams(config,
+                        [Tensor(np.empty(()), requires_grad=True) for _ in range(config.num_layers)],
+                        [_mlp(dims) for dims in config.layer_dims()])
         _fill(gin.named(), components["gin"], "gin")
-        head = TaskHeadParams.init(gin.config.input_dim, arch["head_hidden"], 0)
+        head = TaskHeadParams(_mlp((config.input_dim, arch["head_hidden"], 1)))
         _fill(head.named(), components["head"], "head")
         prompts = {}
         for tag, pcfg in arch["prompts"].items():
-            prompt = PromptParams.init(
-                gin.config.input_dim, pcfg["mlp_hidden"], 0,
+            hidden = pcfg["mlp_hidden"]
+            prompt = PromptParams(
+                _mlp((config.input_dim, hidden, hidden, config.input_dim)),
                 heads=pcfg["heads"], multi_head=pcfg["multi_head"],
                 dropout=pcfg["dropout"],
             )

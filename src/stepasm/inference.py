@@ -7,14 +7,18 @@ assembly and appends the argmax action. While the assembly (after the action)
 still has at most 7 chains the meta-initialized prompt scores the candidates;
 beyond that the large-scale-adapted prompt takes over.
 
-Per step, only stage 2 (the 4-node prompt path and the head) runs once per
-candidate pair, on the path's fixed shape: with the paths stored role-major,
-message passing and the readout are block sums (prompt.score_paths), with no
-edge list and no scatter. The condition graph and the undocked chains are
-encoded once, k + (N-k) rows, and in single-head mode the prompt MLP also
-runs on those k + (N-k) distinct rows only. The first step is one scoring
-call: its condition is the edgeless graph over all N chains, in which each
-chain encodes exactly as in its singleton {d}.
+The first step is one scoring call: its condition is the edgeless graph over
+all N chains, in which each chain encodes exactly as in its singleton {d}.
+That call encodes every chain once, giving each its row h and, in
+single-head mode, its prompt row T(h); an undocked chain keeps both for the
+rest of the path. A step's new edge changes only the rows of the docked
+chains within the encoder's reach of it, so each later step encodes only the
+condition graph (k rows), runs the prompt MLP only on the docked rows that
+changed, and runs stage 2 (the 4-node prompt path and the head, as block
+sums in prompt.score_paths) only on the pairs with such a row; every other
+pair keeps its probability from the step before (prompt.CandidateScorer).
+``per_step_evals`` still counts every candidate ranked. The encoder, head
+and prompts must not change while a path is scored.
 """
 
 import logging
@@ -33,7 +37,7 @@ from .errors import (
 )
 from .geometry import superposed_scores
 from .graphs import AssemblyGraph, canonical_edges, place_chains
-from .prompt import score_candidates
+from .prompt import CandidateScorer
 # not called here; kept because perfbench/spans.py patches this name
 from .prompt import pipeline_forward_batch  # noqa: F401
 
@@ -110,7 +114,9 @@ class DockingPath:
 
 
 class ScoringPipeline:
-    """Frozen encoder + head + prompt bundled behind a batched pair scorer."""
+    """Frozen encoder + head + prompt behind a batched pair scorer that keeps
+    what one greedy step computed for the next (prompt.CandidateScorer). The
+    encoder, head and prompt must not change while a path is scored."""
 
     def __init__(self, gin, head, prompt):
         if gin is None or head is None or prompt is None:
@@ -118,11 +124,12 @@ class ScoringPipeline:
         self.gin = gin
         self.head = head
         self.prompt = prompt
+        self._scorer = CandidateScorer()
 
     def score_actions(self, chain_features, cond_nodes, cond_edges, pairs):
         """Probabilities for candidate (v_d, v_u) actions under one condition graph."""
-        return score_candidates(chain_features, cond_nodes, cond_edges, pairs,
-                                self.gin, self.head, self.prompt)
+        return self._scorer.score(chain_features, cond_nodes, cond_edges, pairs,
+                                  self.gin, self.head, self.prompt)
 
 
 def _pick(pairs, scores, dimers):
@@ -132,7 +139,8 @@ def _pick(pairs, scores, dimers):
     score on a different unordered pair (None if there is none), fell_back
     whether a missing dimer was skipped.
     """
-    order = sorted(range(len(pairs)), key=lambda i: (-scores[i], pairs[i]))
+    ends = np.asarray(pairs)
+    order = np.lexsort((ends[:, 1], ends[:, 0], -np.asarray(scores))).tolist()
     for i in order:
         d, u = pairs[i]
         if dimers is None or dimers.has(d, u):
@@ -200,7 +208,9 @@ def infer_path(chain_features, small_pipeline, large_pipeline=None, dimers=None)
 
 
 def expected_step_evals(n):
-    """Closed-form per-step scoring cost: full pairing first, then k(N-k)."""
+    """Closed-form candidates ranked per step: N(N-1) ordered pairs first,
+    then k(N-k). Stage 2 runs on fewer of them after the first step, only on
+    the pairs the step's new edge can reach."""
     return tuple([n * (n - 1)] + [k * (n - k) for k in range(2, n)])
 
 

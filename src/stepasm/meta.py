@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import split_by_scale
-from .errors import EmptyDatasetError, InsufficientDataError
+from .errors import EmptyDatasetError, InsufficientDataError, ShapeMismatchError
 from .nn.model import flatten_named, grad_vector, load_vector
 from .nn.tensor import bce_loss
 from .prompt import PromptParams, PromptTuneConfig, query_embeddings, query_rows, score_rows
@@ -88,11 +88,19 @@ def prompt_objective(items, gin, head, template):
     # a vector coordinate the gradient reports as zero must not move the loss
     named = work.trainable_named()
     vec0, layout = flatten_named(named)
+    sizes = [int(np.prod(shape, dtype=np.intp)) for _, shape in layout]
+    bounds = np.cumsum([0] + sizes).tolist()
     labels = np.array([it.y for it in items])
     h, d_rows, u_rows = query_embeddings(items, gin)
 
     def run(vec, idx, want_grad):
-        load_vector(named, layout, vec)
+        # read-only views of vec: load_vector would copy every weight per call
+        if vec.size != vec0.size:
+            raise ShapeMismatchError(f"vector length {vec.size} != layout size {vec0.size}")
+        frozen = vec.view()
+        frozen.flags.writeable = False
+        for (name, shape), start, end in zip(layout, bounds, bounds[1:]):
+            named[name].data = frozen[start:end].reshape(shape)
         pred = score_rows(h, d_rows[idx], u_rows[idx], gin, head, work)
         loss = bce_loss(pred, labels[idx])
         if not want_grad:

@@ -356,29 +356,98 @@ def score_paths(h_d, h_x, h_y, h_u, gin, head, *, rng=None):
     (forward_blocks): no edge list and no scatter. The result is bit-equal to
     forward_batch over the B paths' disjoint union.
     """
-    b = h_d.data.shape[0]
     path_feats = concat_rows([h_d, h_x, h_y, h_u])
+    b = path_feats.data.shape[0] // 4
     return forward_blocks(path_feats, b, PATH_NEIGHBOURS, gin, head, rng=rng)
 
 
-def score_candidates(chain_features, cond_nodes, cond_edges, pairs, gin, head, prompt):
-    """Eval-mode probabilities of (v_d, v_u) actions under one condition graph.
+class CandidateScorer:
+    """Eval-mode probabilities of (v_d, v_u) actions, one condition graph per
+    call, incremental along the consecutive steps of one greedy path.
 
-    Equal to ``pipeline_forward`` per pair up to rounding, at a cost of one
-    encoder row per condition node and per distinct candidate: each v_u is an
-    isolated chain, so one encoder pass over the condition graph plus the
-    candidates gives every h_d and h_u. score_rows then runs the prompt MLP
-    on those distinct rows and stage 2 per pair.
+    Each probability equals ``pipeline_forward`` of its pair up to rounding:
+    h_d is v_d's row in the condition graph, h_u the row of v_u encoded as an
+    isolated chain (in the first step's edgeless condition, its row there),
+    and in single-head mode h_x = T(h_u), h_y = T(h_d).
+
+    The scorer keeps each chain's last row h, its prompt row T(h) and the last
+    probability of each pair. A call that is the next growth step of the last
+    one keeps them: same ``chain_features`` array, the last call's edges plus
+    one, and the chains of the last edged condition plus that edge's ends.
+    Any other call, an edgeless condition included, starts empty, so a path's
+    first call is the empty case of the same steps. A call encodes the
+    condition graph and the candidates that have no row yet, runs T only on
+    the rows whose h is not bitwise the kept one, and stage 2 only on the
+    pairs with such a row; every other pair keeps its probability. In
+    multi-head mode T depends on the pair, so only probabilities are kept.
+    What is kept is right only while the encoder, head and prompt stay
+    unchanged, as they do while one path is scored.
     """
-    nodes = sorted(cond_nodes)
-    cands = sorted({u for _, u in pairs})
-    pos = {v: i for i, v in enumerate(nodes)}
-    pos_u = {u: len(nodes) + j for j, u in enumerate(cands)}
-    local = [(pos[a], pos[b]) for a, b in cond_edges]
-    h = gin_encode(chain_features[nodes + cands], local, gin)
-    d_rows = [pos[d] for d, _ in pairs]
-    u_rows = [pos_u[u] for _, u in pairs]
-    return score_rows(h, d_rows, u_rows, gin, head, prompt).data.ravel()
+
+    def __init__(self):
+        self.features = None
+
+    def _follows(self, chain_features, cond_nodes, cond_edges):
+        if chain_features is not self.features or not cond_edges:
+            return False
+        if tuple(cond_edges[:-1]) != self.edges:
+            return False
+        grown = set(self.nodes if self.edges else ()) | set(cond_edges[-1])
+        return set(cond_nodes) == grown
+
+    def _start(self, chain_features):
+        n, dim = chain_features.shape
+        self.features = chain_features
+        self.h = np.empty((n, dim))
+        self.t = np.empty((n, dim))
+        self.known = np.zeros(n, dtype=bool)  # h holds the chain's row, t its T(h)
+        self.p = np.empty((n, n))
+        self.scored = np.zeros((n, n), dtype=bool)  # p holds the pair's probability
+
+    def score(self, chain_features, cond_nodes, cond_edges, pairs, gin, head, prompt):
+        n = chain_features.shape[0]
+        nodes = sorted(cond_nodes)
+        in_cond = np.zeros(n, dtype=bool)
+        in_cond[nodes] = True
+        docked = np.zeros(n, dtype=bool)
+        docked[np.asarray(cond_edges, dtype=np.intp).ravel()] = True
+        pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+        d, u = pairs[:, 0], pairs[:, 1]
+        if not in_cond[d].all():
+            raise ValueError("a docked node is not in the condition graph")
+        if docked[u].any():
+            raise NodeCollisionError("a candidate chain is docked in the condition graph")
+        if not self._follows(chain_features, cond_nodes, cond_edges):
+            self._start(chain_features)
+        self.nodes, self.edges = tuple(cond_nodes), tuple(cond_edges)
+
+        rows = nodes + np.unique(u[~in_cond[u] & ~self.known[u]]).tolist()
+        pos = {v: i for i, v in enumerate(nodes)}
+        local = [(pos[a], pos[b]) for a, b in cond_edges]
+        h = gin_encode(chain_features[rows], local, gin).data
+        rows = np.asarray(rows, dtype=np.intp)
+        changed = ~self.known[rows] | (
+            h.view(np.uint64) != self.h[rows].view(np.uint64)).any(axis=1)
+        moved = rows[changed]
+        if moved.size:
+            self.scored[moved, :] = False
+            self.scored[:, moved] = False
+            if not prompt.multi_head:
+                self.t[moved] = prompt.transform(h[changed]).data
+            self.h[moved] = h[changed]
+            self.known[moved] = True
+
+        todo = ~self.scored[d, u]
+        if todo.any():
+            d_new, u_new = d[todo], u[todo]
+            h_d, h_u = self.h[d_new], self.h[u_new]
+            if prompt.multi_head:
+                h_x, h_y = prompt_embeddings(h_d, h_u, prompt)
+            else:
+                h_x, h_y = self.t[u_new], self.t[d_new]
+            self.p[d_new, u_new] = score_paths(h_d, h_x, h_y, h_u, gin, head).data.ravel()
+            self.scored[d_new, u_new] = True
+        return self.p[d, u]
 
 
 def pipeline_forward(cond_graph, v_d, v_u, u_feature, gin, head, prompt):

@@ -1,6 +1,7 @@
 """Command-line workflow, checkpoints, run configs, and chain-file IO."""
 
 import dataclasses
+import itertools
 import json
 import os
 
@@ -484,6 +485,34 @@ def test_save_models_roundtrip_exact(tmp_path):
     assert np.array_equal(star.in_shift.data, prompt.in_shift.data)
     assert meta["note"] == "roundtrip"
     assert gin2.config == gin.config
+
+
+def test_load_models_gives_the_stored_bits_in_arrays_of_their_own(tmp_path):
+    gin = GINParams.init(GINConfig(hidden_dim=8), 120)
+    head = TaskHeadParams.init(13, 8, 121)
+    prompts = {"prompt_meta": PromptParams.init(13, 8, 122),
+               "prompt_star": PromptParams.init(13, 8, 123, heads=2, multi_head=True)}
+    for p in prompts.values():
+        p.standardize_from(np.random.default_rng(124).normal(size=(20, 13)))
+    path = tmp_path / "models.npz"
+    save_models(path, gin, head, prompts=prompts)
+    gin2, head2, prompts2, _ = load_models(path)
+
+    def every(g, h, ps):
+        out = {**g.named(), **h.named()}
+        for tag, p in ps.items():
+            out.update(p.named(tag))
+        return out
+
+    saved, loaded = every(gin, head, prompts), every(gin2, head2, prompts2)
+    assert saved.keys() == loaded.keys()
+    for name, t in loaded.items():
+        assert t.data.shape == saved[name].data.shape, name
+        assert np.array_equal(t.data.view(np.uint64), saved[name].data.view(np.uint64)), name
+        assert t.requires_grad == saved[name].requires_grad, name
+        assert t.data.flags.owndata and t.data.flags.writeable, name
+    for (a, ta), (b, tb) in itertools.combinations(loaded.items(), 2):
+        assert not np.shares_memory(ta.data, tb.data), (a, b)
 
 
 def test_checkpoint_rejects_foreign_format(tmp_path):

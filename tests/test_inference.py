@@ -10,6 +10,7 @@ from stepasm.errors import (
     LengthMismatchError,
     MalformedRecordError,
     MissingDimerError,
+    NodeCollisionError,
     ShapeMismatchError,
     UntrainedPipelineError,
     ZeroVarianceError,
@@ -20,6 +21,7 @@ from stepasm.inference import (
     DockingPath,
     EvalReport,
     ScoringPipeline,
+    _pick,
     cka_similarity,
     evaluate,
     expected_step_evals,
@@ -174,6 +176,15 @@ def test_score_actions_match_single_item_pipeline(prompt_kw, condition):
         assert abs(p - ref) <= 1e-12
 
 
+def test_score_actions_rejects_pairs_that_are_no_docking_action():
+    pipe = untrained_pipeline()
+    feats = np.random.default_rng(84).uniform(0.0, 0.6, size=(5, DIM))
+    with pytest.raises(ValueError, match="not in the condition graph"):
+        pipe.score_actions(feats, (0, 1), ((0, 1),), [(0, 2), (3, 2)])
+    with pytest.raises(NodeCollisionError):
+        pipe.score_actions(feats, (0, 1), ((0, 1),), [(0, 2), (0, 1)])
+
+
 def reference_infer_path(feats, small, large):
     """Greedy path straight from pipeline_forward, one action at a time."""
     n = feats.shape[0]
@@ -208,6 +219,108 @@ def test_infer_path_matches_single_item_reference_across_the_switch():
         assert abs(p - reference_prob(pipe, feats, nodes, tuple(edges), d, u)) <= 1e-12
         docked = sorted(set(docked) | {d, u})
         edges.append((min(d, u), max(d, u)))
+
+
+class FreshChecked(ScoringPipeline):
+    """The real pipeline, each call also scored by a fresh pipeline, which
+    keeps nothing from earlier steps; records each call whose scores differ."""
+
+    def __init__(self, gin, head, prompt):
+        super().__init__(gin, head, prompt)
+        self.calls = 0
+        self.unequal = []  # (edges, max abs difference) of calls not uint64-equal
+
+    def score_actions(self, chain_features, cond_nodes, cond_edges, pairs):
+        got = super().score_actions(chain_features, cond_nodes, cond_edges, pairs)
+        fresh = ScoringPipeline(self.gin, self.head, self.prompt).score_actions(
+            chain_features, cond_nodes, cond_edges, pairs)
+        self.calls += 1
+        if not np.array_equal(got.view(np.uint64), fresh.view(np.uint64)):
+            self.unequal.append((len(cond_edges), float(np.abs(got - fresh).max())))
+        return got
+
+
+@pytest.mark.parametrize("prompt_kw", [{}, {"multi_head": True, "heads": 4}],
+                         ids=["single-head", "multi-head"])
+@pytest.mark.parametrize("n", [8, 12, 30])
+def test_incremental_steps_score_as_a_fresh_pipeline(n, prompt_kw):
+    base = untrained_pipeline(**prompt_kw)
+    small = FreshChecked(base.gin, base.head, base.prompt)
+    large = FreshChecked(base.gin, base.head,
+                         PromptParams.init(DIM, 8, 91, dropout=0.0, **prompt_kw))
+    feats = np.random.default_rng(83 + n).uniform(0.0, 0.6, size=(n, DIM))
+    path = infer_path(feats, small, large_pipeline=large)
+    assert path.per_step_evals == expected_step_evals(n)
+    # post-action sizes 2..7 go to the small prompt, 8..n to the large one
+    assert (small.calls, large.calls) == (SMALL_ASSEMBLY_MAX - 1, n - SMALL_ASSEMBLY_MAX)
+    assert small.unequal == [] and large.unequal == []
+
+
+def test_incremental_steps_stay_within_rounding_at_wide_layers():
+    # With a 512-wide prompt MLP and a 256-wide head, OpenBLAS runs a product
+    # of a few rows through another kernel than the same rows among many,
+    # so a kept row or probability can differ from a fresh pass in the last
+    # bit; the path must not change.
+    gin = GINParams.init(GINConfig(dropout=0.0), 92)
+    head = TaskHeadParams.init(DIM, 256, 93)
+    prompts = [PromptParams.init(DIM, 512, seed, dropout=0.0) for seed in (94, 95)]
+    feats = np.random.default_rng(96).uniform(0.0, 0.6, size=(30, DIM))
+    for p in prompts:
+        p.standardize_from(feats)
+    small, large = (FreshChecked(gin, head, p) for p in prompts)
+    path = infer_path(feats, small, large_pipeline=large)
+    assert max((diff for _, diff in small.unequal + large.unequal), default=0.0) <= 1e-12
+
+    class Fresh:
+        def __init__(self, prompt):
+            self.prompt = prompt
+
+        def score_actions(self, *args):
+            return ScoringPipeline(gin, head, self.prompt).score_actions(*args)
+
+    assert infer_path(feats, *(Fresh(p) for p in prompts)).actions == path.actions
+
+
+@pytest.mark.parametrize("n", [2, 30])
+def test_prompt_changed_between_paths_is_not_reused(n):
+    small = untrained_pipeline()
+    large = ScoringPipeline(small.gin, small.head, PromptParams.init(DIM, 8, 97, dropout=0.0))
+    feats = np.random.default_rng(98).uniform(0.0, 0.6, size=(n, DIM))
+    before = infer_path(feats, small, large_pipeline=large)
+    for prompt in (small.prompt, large.prompt):
+        for t in prompt.named().values():
+            t.data *= 1.5  # in place: the arrays a kept row was computed from
+    after = infer_path(feats, small, large_pipeline=large)
+    fresh = infer_path(feats, ScoringPipeline(small.gin, small.head, small.prompt),
+                       ScoringPipeline(large.gin, large.head, large.prompt))
+    assert after.probs != before.probs
+    assert after == fresh
+
+
+def test_pick_breaks_ties_by_pair_and_skips_missing_dimers():
+    pairs = [(2, 0), (0, 3), (1, 0), (0, 1), (3, 1), (1, 2)]
+    scores = np.array([0.5, 0.7, 0.7, 0.7, 0.2, 0.5])
+    # (prob desc, v_d asc, v_u asc): (0, 1), (0, 3), (1, 0), (1, 2), (2, 0), (3, 1)
+    assert _pick(pairs, scores, None) == ((0, 1), 0.7, 0.0, False)
+    coords = np.random.default_rng(99).random((60, 3))
+    dimers = DimerLibrary()
+    for a, b in itertools.combinations(range(4), 2):
+        if (a, b) != (0, 1):
+            dimers.add(a, b, coords, coords + 1.0)
+    assert _pick(pairs, scores, dimers) == ((0, 3), 0.7, 0.0, True)
+    dimers = DimerLibrary()
+    for a, b in ((1, 2), (0, 2), (1, 3)):
+        dimers.add(a, b, coords, coords + 1.0)
+    # the first pair with a dimer is (1, 2); its rival is (0, 1) at 0.7
+    pair, prob, margin, fell_back = _pick(pairs, scores, dimers)
+    assert (pair, prob, fell_back) == ((1, 2), 0.5, True)
+    assert margin == pytest.approx(-0.2)
+    rng = np.random.default_rng(100)
+    for _ in range(50):
+        pairs = [tuple(p) for p in rng.permutation(list(itertools.permutations(range(5), 2)))]
+        scores = rng.integers(0, 3, size=len(pairs)) / 4.0
+        order = sorted(range(len(pairs)), key=lambda i: (-scores[i], pairs[i]))
+        assert _pick(pairs, scores, None)[0] == pairs[order[0]]
 
 
 def test_first_action_lists_the_smaller_chain_first():

@@ -176,8 +176,10 @@ def test_prompt_objective_matches_direct_loss(real):
     pred = pipeline_forward_batch([items[i] for i in idx], gin, head, template)
     want = float(bce_loss(pred, np.array([items[i].y for i in idx])).data)
     assert got == pytest.approx(want, abs=1e-12)
+    kept = vec0.copy()
     g = objective.grad(vec0, idx)
     assert g.shape == vec0.shape and np.linalg.norm(g) > 0.0
+    assert np.array_equal(vec0.view(np.uint64), kept.view(np.uint64))  # read, never written
 
 
 def test_prompt_objective_gradient_against_finite_differences(real):
@@ -232,6 +234,10 @@ def test_meta_prompt_without_large_items_skips_adaptation(real):
     tune_cfg = PromptTuneConfig(mlp_hidden=8, dropout=0.0)
     pi_meta, pi_star, _ = meta_prompt(items, gin, head, meta_cfg, tune_cfg)
     assert params_hash(pi_meta.named()) == params_hash(pi_star.named())
+    # loaded from one vector, yet each prompt owns writable arrays of its own
+    for a, b in zip(pi_meta.named().values(), pi_star.named().values()):
+        assert not np.shares_memory(a.data, b.data)
+        assert a.data.flags.writeable and b.data.flags.writeable
 
 
 def test_meta_prompt_requires_small_scale_items(real):
