@@ -42,7 +42,11 @@ _UNREADABLE = (ValueError, KeyError, TypeError, AttributeError, EOFError,
 
 
 def load_checkpoint(path):
-    """Returns ({tag: {param_name: ndarray}}, meta dict)."""
+    """Returns ({tag: {param_name: ndarray}}, meta dict).
+
+    Each array is the one ``np.load`` read for its key: writable, float64 as
+    ``save_checkpoint`` writes it, and shared with no other array.
+    """
     try:
         with np.load(path, allow_pickle=False) as npz:
             meta = json.loads(str(npz["__meta__"][()]))
@@ -51,7 +55,10 @@ def load_checkpoint(path):
                 if key == "__meta__":
                     continue
                 tag, name = key.split("/", 1)
-                components.setdefault(tag, {})[name] = np.array(npz[key])
+                array = npz[key]
+                if array.dtype != np.float64:
+                    raise ConfigError(f"{path}: {key} is {array.dtype}, not float64")
+                components.setdefault(tag, {})[name] = array
         version = meta.get("format_version")
     except _UNREADABLE as exc:
         raise ConfigError(f"{path}: not a checkpoint ({type(exc).__name__}: {exc})") from None
@@ -69,8 +76,9 @@ def _mlp(dims):
 
 
 def _fill(named, arrays, tag):
-    """Point each tensor at its stored array, which load_checkpoint made the
-    array's own copy; the tensor's shape is the one the architecture expects."""
+    """Point each tensor at its stored array, as load_checkpoint returned it
+    (no copy is made); the tensor's shape is the one the architecture
+    expects."""
     for name, tensor in named.items():
         if name not in arrays:
             raise ConfigError(f"checkpoint missing {tag}/{name}")

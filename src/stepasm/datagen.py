@@ -10,6 +10,9 @@ non-contact edge scores visibly below a spanning tree of true contacts.
 """
 
 import json
+import mmap
+import os
+import stat
 import warnings
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
@@ -17,7 +20,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .embeddings import STANDARD_RESIDUES
-from .errors import EmptyDatasetError, MalformedRecordError, NoValidGrowthWarning, StepasmError
+from .errors import (
+    ConfigError,
+    EmptyDatasetError,
+    MalformedRecordError,
+    NoValidGrowthWarning,
+    StepasmError,
+)
 from .geometry import random_rotation
 from .ioutil import atomic_write_text
 from .graphs import (
@@ -395,14 +404,16 @@ def save_jsonl(path, dicts):
     atomic_write_text(path, text)
 
 
-def _decoded(line, lineno):
+def _decoded(line, lineno=None):
+    """The JSON value of one line of bytes, which must be UTF-8 JSON."""
     try:
-        return json.loads(line)
-    except json.JSONDecodeError as exc:
+        return json.loads(line.decode())
+    # json's decoder raises RecursionError on nesting deeper than the stack
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise MalformedRecordError(f"bad JSON record: {exc}", lineno) from None
 
 
-def _converted(convert, record, lineno):
+def _converted(convert, record, lineno=None):
     try:
         return convert(record)
     except (StepasmError, KeyError, IndexError, TypeError, ValueError,
@@ -412,8 +423,10 @@ def _converted(convert, record, lineno):
 
 
 def _records(path):
-    """(line number, line) for each non-blank line of ``path``."""
-    with open(path) as fh:
+    """(line number, line) for each non-blank line of ``path``, as bytes.
+    Lines end at b"\n", so a CRLF file numbers its lines as a text reader
+    does."""
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
                 yield lineno, line
@@ -421,8 +434,8 @@ def _records(path):
 
 def _load_records(path, convert):
     """``convert(record)`` for each JSON line of ``path``. A line that is not
-    JSON, or whose record ``convert`` rejects, raises MalformedRecordError
-    with its line number."""
+    UTF-8 JSON, or whose record ``convert`` rejects, raises
+    MalformedRecordError with its line number."""
     return [_converted(convert, _decoded(line, lineno), lineno)
             for lineno, line in _records(path)]
 
@@ -440,29 +453,64 @@ def _has_name(record, name):
     return isinstance(record, dict) and record.get("name") == name
 
 
+def _search_named(path, name):
+    """The multimer named ``name`` on the first line of ``path`` that holds
+    ``"name": `` followed by ``json.dumps(name)``, as ``save_multimers``
+    writes it, and whose record bears that name; None when no such line is
+    the record.
+
+    The file is mapped and searched as bytes, and only the lines that hold
+    the search string are decoded. The line number of a record is counted
+    only when the record is malformed.
+    """
+    needle = b'"name": ' + json.dumps(name).encode()
+    # checked before opening, which would block on a named pipe
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise ConfigError(f"{path}: not a regular file")
+    with open(path, "rb") as fh:
+        if os.fstat(fh.fileno()).st_size == 0:  # mmap cannot map an empty file
+            return None
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as buf:
+            hit = buf.find(needle)
+            while hit != -1:
+                start = buf.rfind(b"\n", 0, hit) + 1
+                end = buf.find(b"\n", hit)
+                end = len(buf) if end == -1 else end
+                try:
+                    record = _decoded(buf[start:end])
+                    if _has_name(record, name):
+                        return _converted(multimer_from_dict, record)
+                except MalformedRecordError as exc:
+                    raise MalformedRecordError(
+                        str(exc), buf[:start].count(b"\n") + 1) from None
+                hit = buf.find(needle, end)
+    return None
+
+
 def load_multimer(path, name=None):
     """The multimer named ``name`` in a multimers file, its first record when
     ``name`` is None, or None when there is no such record.
 
     Reading stops at that record, and only it is validated: a malformed
-    record elsewhere in the file is not read. A line is decoded only when it
-    holds ``json.dumps(name)``, the name as ``save_multimers`` writes it.
-    When no such line is the record, every line that is JSON is decoded
-    before giving up, so a file written with other spacing or escaping is
-    still searched.
+    record, or a line that is not UTF-8, elsewhere in the file is not read.
+    A named record is found by a byte search of the mapped file for the name
+    as ``save_multimers`` writes it (``_search_named``), so only the lines
+    that hold it are decoded. When none of them is the record, every line
+    that is UTF-8 JSON is decoded before giving up, so a file written with
+    other spacing or escaping is still searched. ``path`` must be a regular
+    file when ``name`` is given.
     """
-    needle = None if name is None else json.dumps(name)
-    for lineno, line in _records(path):
-        if needle is None or needle in line:
-            record = _decoded(line, lineno)
-            if needle is None or _has_name(record, name):
-                return _converted(multimer_from_dict, record, lineno)
     if name is None:
+        for lineno, line in _records(path):
+            return _converted(multimer_from_dict, _decoded(line, lineno), lineno)
         return None
+    found = _search_named(path, name)
+    if found is not None:
+        return found
     for lineno, line in _records(path):
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
+            record = _decoded(line, lineno)
+        except MalformedRecordError:
             continue
         if _has_name(record, name):
             return _converted(multimer_from_dict, record, lineno)

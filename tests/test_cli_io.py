@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -346,6 +347,73 @@ def test_unknown_multimer_name_exits_2(picked_lines, tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("command,bad_file", [
+    ("infer", "multimers.jsonl"),
+    ("enumerate-oracle", "multimers.jsonl"),
+    ("pretrain", "multimers.jsonl"),
+    ("pretrain", "source.jsonl"),
+    ("prompt-tune", "target.jsonl"),
+])
+def test_cli_rejects_a_line_that_is_not_utf8(workflow, tmp_path, capsys, command, bad_file):
+    _, cfg_path, data, pre, tuned = workflow
+    bad = tmp_path / "data"
+    bad.mkdir()
+    for f in ("multimers.jsonl", "source.jsonl", "target.jsonl"):
+        (bad / f).write_bytes((data / f).read_bytes())
+    lines = (bad / bad_file).read_bytes().splitlines(keepends=True)
+    lines[0] = b'{"name": "\xff"}\n'
+    (bad / bad_file).write_bytes(b"".join(lines))
+    multimers = ["--multimers", str(bad / "multimers.jsonl")]
+    argv = {
+        "infer": ["infer", *multimers, "--ckpt", str(tuned), "--out", str(tmp_path / "p")],
+        "enumerate-oracle": ["enumerate-oracle", *multimers],
+        "pretrain": ["pretrain", "--config", str(cfg_path), "--data", str(bad),
+                     "--out", str(tmp_path / "pre.npz")],
+        "prompt-tune": ["prompt-tune", "--config", str(cfg_path), "--data", str(bad),
+                        "--ckpt", str(pre), "--out", str(tmp_path / "tuned.npz")],
+    }[command]
+    assert cli.main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "MalformedRecordError"
+    assert err["message"].startswith("line 1: ")
+
+
+@pytest.mark.parametrize("name", [None, "a"])
+def test_empty_multimers_file_exits_2(tmp_path, capsys, name):
+    path = tmp_path / "multimers.jsonl"
+    path.write_bytes(b"")
+    argv = ["enumerate-oracle", "--multimers", str(path)]
+    assert cli.main(argv + (["--name", name] if name else [])) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_named_lookup_in_a_file_that_cannot_be_mapped_exits_2(tmp_path, capsys):
+    fifo = tmp_path / "multimers.jsonl"
+    os.mkfifo(fifo)
+    done, woken = threading.Event(), []
+
+    def wake_blocked_readers():
+        # a reader that opened the pipe waits for a writer; this one writes nothing
+        while not done.wait(5.0):
+            woken.append(True)
+            try:
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:  # no reader waiting
+                pass
+
+    watchdog = threading.Thread(target=wake_blocked_readers, daemon=True)
+    watchdog.start()
+    try:
+        code = cli.main(["enumerate-oracle", "--multimers", str(fifo), "--name", "a"])
+    finally:
+        done.set()
+        watchdog.join(timeout=10.0)
+    assert code == 2 and not woken
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "not a regular file" in err["message"]
+
+
 @pytest.mark.parametrize("content,error", [
     (None, "FileNotFoundError"),
     (b"not a checkpoint\n", "ConfigError"),
@@ -510,7 +578,9 @@ def test_load_models_gives_the_stored_bits_in_arrays_of_their_own(tmp_path):
         assert t.data.shape == saved[name].data.shape, name
         assert np.array_equal(t.data.view(np.uint64), saved[name].data.view(np.uint64)), name
         assert t.requires_grad == saved[name].requires_grad, name
-        assert t.data.flags.owndata and t.data.flags.writeable, name
+        # np.load's own array for the key, often a reshape view of its read
+        # buffer: writable, and sharing memory with no other parameter
+        assert t.data.dtype == np.float64 and t.data.flags.writeable, name
     for (a, ta), (b, tb) in itertools.combinations(loaded.items(), 2):
         assert not np.shares_memory(ta.data, tb.data), (a, b)
 
@@ -531,6 +601,23 @@ def test_checkpoint_rejects_foreign_format(tmp_path):
     path.write_bytes(buf.getvalue())
     with pytest.raises(ConfigError, match="format"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("dtype", ["U32", np.complex128, np.int64, np.float32])
+def test_checkpoint_rejects_arrays_that_are_not_float64(workflow, tmp_path, capsys, dtype):
+    _, _, data, _, tuned = workflow
+    comps, meta = load_checkpoint(tuned)
+    arrays = {f"{t}/{n}": a for t, named in comps.items() for n, a in named.items()}
+    victim = next(k for k in arrays if k.startswith("prompt/"))
+    arrays[victim] = arrays[victim].astype(dtype)
+    path = tmp_path / "m.npz"
+    np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
+    with pytest.raises(ConfigError, match=f"{victim} is .*, not float64"):
+        load_checkpoint(path)
+    code = cli.main(["infer", "--multimers", str(data / "multimers.jsonl"),
+                     "--ckpt", str(path), "--out", str(tmp_path / "pred")])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
 def test_checkpoint_missing_parameter_rejected(tmp_path):

@@ -14,6 +14,7 @@ from stepasm.datagen import (
     TargetInstance,
     gen_multimer_set,
     gen_synthetic_multimer,
+    load_multimer,
     load_multimers,
     load_source_dataset,
     load_target_dataset,
@@ -309,9 +310,128 @@ def test_load_source_rejects_empty(tmp_path):
 
 def test_load_rejects_malformed_json(tmp_path):
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"multimer": "m", "n": 3\n')
-    with pytest.raises(MalformedRecordError, match="line 1"):
-        load_source_dataset(path, {})
+    for line in ('{"multimer": "m", "n": 3', "[" * 100_000):
+        path.write_text(line + "\n")
+        with pytest.raises(MalformedRecordError, match="line 1"):
+            load_source_dataset(path, {})
+
+
+def test_readers_reject_a_line_that_is_not_utf8(tmp_path):
+    ms = gen_multimer_set({3: 1}, seed=23)
+    m = ms[0]
+    src = make_source_dataset(ms, 2, seed=24)
+    tgt = make_target_dataset(m, np.random.default_rng(25))
+    bad = b'{"name": "\xff"}\n'
+    for save, load, rows in [
+        (save_multimers, lambda p: load_multimers(p), ms),
+        (save_dataset, lambda p: load_source_dataset(p, {m.name: m}), src),
+        (save_dataset, lambda p: load_target_dataset(p, {m.name: m}), tgt),
+    ]:
+        path = tmp_path / "records.jsonl"
+        save(path, rows)
+        path.write_bytes(path.read_bytes() + bad)
+        with pytest.raises(MalformedRecordError, match=f"^line {len(rows) + 1}: "):
+            load(path)
+
+
+@pytest.fixture(scope="module")
+def named_lines():
+    """Records of 3-chain multimers a, b and c, as save_multimers writes them."""
+    return [json.dumps(multimer_to_dict(gen_synthetic_multimer(3, 150 + i, name=name)),
+                       sort_keys=True).encode()
+            for i, name in enumerate("abc")]
+
+
+def _jsonl(tmp_path, lines, newline=b"\n", end=b"\n"):
+    path = tmp_path / "multimers.jsonl"
+    path.write_bytes(newline.join(lines) + end)
+    return path
+
+
+def _without_chains(line, **dumps):
+    record = json.loads(line)
+    del record["chains"]
+    return json.dumps(record, **dumps).encode()
+
+
+def test_named_lookup_skips_the_name_inside_another_record(named_lines, tmp_path):
+    record = json.loads(named_lines[0])
+    record["chains"][0]["name"] = "b"
+    first = json.dumps(record, sort_keys=True).encode()
+    assert b'"name": "b"' in first
+    m = load_multimer(_jsonl(tmp_path, [first, *named_lines[1:]]), "b")
+    assert m.name == "b"
+
+
+@pytest.mark.parametrize("name", [None, "c"])
+def test_last_record_without_a_trailing_newline(named_lines, tmp_path, name):
+    lines = named_lines if name else named_lines[:1]
+    m = load_multimer(_jsonl(tmp_path, lines, end=b""), name)
+    assert m.name == (name or "a")
+
+
+def test_leading_blank_lines_before_the_first_record(named_lines, tmp_path):
+    path = _jsonl(tmp_path, [b"", b" \t", b"", *named_lines])
+    assert load_multimer(path).name == "a"
+    assert load_multimer(path, "b").name == "b"
+    assert list(load_multimers(path)) == ["a", "b", "c"]
+
+
+def test_empty_multimers_file_has_no_record(tmp_path):
+    path = _jsonl(tmp_path, [], end=b"")
+    assert load_multimer(path) is None
+    assert load_multimer(path, "a") is None
+    assert load_multimers(path) == {}
+
+
+def _text_line_number(path, wanted):
+    """The number a text-mode reader (universal newlines) gives the line
+    ``wanted``."""
+    with open(path, encoding="utf-8") as fh:
+        return next(i for i, line in enumerate(fh, start=1)
+                    if line.rstrip("\n") == wanted.decode())
+
+
+@pytest.mark.parametrize("lookup", ["first", "named", "fallback", "all"])
+def test_crlf_line_numbers_match_a_text_reader(named_lines, tmp_path, lookup):
+    a, b, c = named_lines
+    if lookup == "first":
+        lines, name = [b"", b"  ", _without_chains(a), b, c], None
+    else:
+        dumps = {"separators": (",", ":")} if lookup == "fallback" else {"sort_keys": True}
+        lines, name = [b"", a, b"  ", b"", _without_chains(b, **dumps), c], "b"
+    path = _jsonl(tmp_path, lines, newline=b"\r\n", end=b"\r\n")
+    bad = next(line for line in lines if line.strip() and b"chains" not in line)
+    expected = _text_line_number(path, bad)
+    with pytest.raises(MalformedRecordError, match=f"^line {expected}: "):
+        load_multimers(path) if lookup == "all" else load_multimer(path, name)
+    assert expected == lines.index(bad) + 1
+
+
+def test_named_lookup_decodes_one_line(named_lines, tmp_path, monkeypatch):
+    # "c" is also a chain id of record a, and a malformed record lies between
+    record = json.loads(named_lines[0])
+    record["chains"][0]["id"] = "c"
+    first = json.dumps(record, sort_keys=True).encode()
+    path = _jsonl(tmp_path, [first, b'{"name": "a", "truncated', *named_lines[1:]])
+    decoded = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda s, *a, **k: decoded.append(s) or loads(s, *a, **k))
+    assert load_multimer(path, "c").name == "c"
+    assert len(decoded) == 1
+
+
+def test_named_lookup_reads_past_lines_that_are_not_utf8(named_lines, tmp_path):
+    a, b, c = named_lines
+    spaced = json.dumps(json.loads(c), separators=(",", ":")).encode()
+    path = _jsonl(tmp_path, [b"\xff\xfe", a, b'{"name": "b", "x": "\xff"}', spaced])
+    assert load_multimer(path, "a").name == "a"
+    assert load_multimer(path, "c").name == "c"  # found by decoding every line
+    assert load_multimer(path, "zzz") is None
+    with pytest.raises(MalformedRecordError, match="^line 3: "):
+        load_multimer(path, "b")
+    with pytest.raises(MalformedRecordError, match="^line 1: "):
+        load_multimer(path)
 
 
 def test_source_instance_graph_binds_features():
