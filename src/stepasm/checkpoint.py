@@ -38,7 +38,7 @@ def save_checkpoint(path, components, meta=None):
 
 # what reading a file that is not a save_checkpoint archive raises
 _UNREADABLE = (ValueError, KeyError, TypeError, AttributeError, EOFError,
-               zipfile.BadZipFile)
+               RecursionError, zipfile.BadZipFile)
 
 
 def load_checkpoint(path):

@@ -145,7 +145,7 @@ def load_config(path):
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     return config_from_dict(data)
 

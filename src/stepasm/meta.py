@@ -37,8 +37,10 @@ class MetaStageConfig:
     adapt_steps: int = 1
 
     def __post_init__(self):
-        if self.inner_lr < 0 or self.outer_lr <= 0:
-            raise ValueError("learning rates must be positive (inner may be zero)")
+        if not 0 <= self.inner_lr < np.inf:
+            raise ValueError(f"inner_lr must be finite and positive or zero, got {self.inner_lr}")
+        if not 0 < self.outer_lr < np.inf:
+            raise ValueError(f"outer_lr must be positive and finite, got {self.outer_lr}")
         if min(self.task_batch, self.support_size, self.query_size,
                self.inner_steps, self.epochs, self.pool_size) < 1:
             raise ValueError("meta config counts must be positive")

@@ -233,19 +233,19 @@ def forward_batch(features, edges, segment_ids, num_graphs, gin, head, *, rng=No
     return head.score(pooled, rng=rng, drop=gin.config.dropout)
 
 
-def forward_blocks(features, width, neighbours, gin, head, *, rng=None):
-    """(width, 1) scores for ``width`` graphs of one shape, stored node-major:
-    row i of node r is graph i's node r, at r * width + i, and node r's
-    neighbours are the nodes ``neighbours[r]``, in ascending order.
+def forward_blocks(features, width, neighbours, gin, head):
+    """(width, 1) eval-mode scores for ``width`` graphs of one shape, stored
+    node-major: row i of node r is graph i's node r, at r * width + i, and
+    node r's neighbours are the nodes ``neighbours[r]``, in ascending order.
 
     The same numbers as forward_batch over the explicit edges and segment
     ids, bit for bit, without an edge list: message passing and the readout
-    are block sums. Eval mode unless an rng is given.
+    are block sums.
     """
     h = _gin_layers(_node_rows(features, gin), gin,
-                    lambda h: block_sum(h, width, neighbours), rng)
+                    lambda h: block_sum(h, width, neighbours), None)
     pooled = block_sum(h, width, (tuple(range(len(neighbours))),))
-    return head.score(pooled, rng=rng, drop=gin.config.dropout)
+    return head.score(pooled)
 
 
 def readout_regress(features, edges, gin, head):

@@ -280,7 +280,7 @@ def prompt_embeddings(h_d, h_u, prompt, *, rng=None):
     return h_x, h_y
 
 
-def query_embeddings(items, gin, *, rng=None):
+def query_embeddings(items, gin):
     """Stage 1 for a batch of docking actions: (h, d_rows, u_rows).
 
     One encoder pass over a disjoint union holding each distinct condition
@@ -303,7 +303,7 @@ def query_embeddings(items, gin, *, rng=None):
     d_rows = np.array([first[cond] + it.d_local for it, (cond, _) in zip(items, keys)],
                       dtype=np.intp)
     u_rows = np.array([first[cand] for _, cand in keys], dtype=np.intp)
-    h = gin_encode(feats, edges, gin, rng=rng)
+    h = gin_encode(feats, edges, gin)
     return h, d_rows, u_rows
 
 
@@ -314,15 +314,14 @@ def query_rows(items, gin):
     return h.data[np.concatenate([d_rows, u_rows])]
 
 
-def pipeline_forward_batch(items, gin, head, prompt, *, rng=None):
-    """(B, 1) linking probabilities for a batch of docking actions.
+def pipeline_forward_batch(items, gin, head, prompt):
+    """(B, 1) eval-mode linking probabilities for a batch of docking actions.
 
     Stage 1 encodes each distinct condition graph and candidate chain once
-    (query_embeddings); score_rows runs the prompt MLP and stage 2. Eval mode
-    unless an rng is given, which draws every dropout mask.
+    (query_embeddings); score_rows runs the prompt MLP and stage 2.
     """
-    h, d_rows, u_rows = query_embeddings(items, gin, rng=rng)
-    return score_rows(h, d_rows, u_rows, gin, head, prompt, rng=rng)
+    h, d_rows, u_rows = query_embeddings(items, gin)
+    return score_rows(h, d_rows, u_rows, gin, head, prompt)
 
 
 def score_rows(h, d_rows, u_rows, gin, head, prompt, *, rng=None):
@@ -330,8 +329,8 @@ def score_rows(h, d_rows, u_rows, gin, head, prompt, *, rng=None):
 
     In single-head mode h_x = T(h_u) and h_y = T(h_d), so the prompt MLP T
     runs once per distinct row of h that some action uses, and its rows are
-    gathered into the B prompt paths; with dropout on, the actions that share
-    a row share its dropout mask. Stage 2 runs per action.
+    gathered into the B prompt paths; with an rng the MLP drops out, and the
+    actions that share a row share its mask. Stage 2 runs per action, in eval mode.
     """
     d_rows = np.asarray(d_rows, dtype=np.intp)
     u_rows = np.asarray(u_rows, dtype=np.intp)
@@ -344,11 +343,11 @@ def score_rows(h, d_rows, u_rows, gin, head, prompt, *, rng=None):
         t = prompt.transform(gather_rows(h, used), rng=rng)
         b = d_rows.size
         h_x, h_y = gather_rows(t, where[b:]), gather_rows(t, where[:b])
-    return score_paths(h_d, h_x, h_y, h_u, gin, head, rng=rng)
+    return score_paths(h_d, h_x, h_y, h_u, gin, head)
 
 
-def score_paths(h_d, h_x, h_y, h_u, gin, head, *, rng=None):
-    """Stage 2: (B, 1) probabilities of B prompt paths d - x - y - u.
+def score_paths(h_d, h_x, h_y, h_u, gin, head):
+    """Stage 2: (B, 1) eval-mode probabilities of B prompt paths d - x - y - u.
 
     Each argument holds one row per path. The B paths go through the frozen
     encoder as one node-major stack, row i of role r at r * B + i, so that
@@ -358,7 +357,7 @@ def score_paths(h_d, h_x, h_y, h_u, gin, head, *, rng=None):
     """
     path_feats = concat_rows([h_d, h_x, h_y, h_u])
     b = path_feats.data.shape[0] // 4
-    return forward_blocks(path_feats, b, PATH_NEIGHBOURS, gin, head, rng=rng)
+    return forward_blocks(path_feats, b, PATH_NEIGHBOURS, gin, head)
 
 
 class CandidateScorer:
@@ -471,31 +470,25 @@ def pipeline_forward(cond_graph, v_d, v_u, u_feature, gin, head, prompt):
 def prompt_tune(items, gin, head, cfg=None, init=None):
     """Tune only the prompt MLP on docking-action labels; returns (prompt, log).
 
-    The encoder and head are set non-trainable on entry, so no gradient ever
-    reaches them; validation holds out whole multimers as in pre-training.
-    Minibatches hold whole decisions (items of equal ``decision``), and the
-    descent loss is cfg.train.loss plus LISTWISE_WEIGHT times the listwise
-    loss over each decision's candidates.
+    The encoder and head are frozen: set non-trainable on entry, and run in
+    eval mode, so their dropout never fires. Stage 1 is encoded once per call
+    (query_embeddings), and each minibatch runs only the prompt MLP, with its
+    dropout, and stage 2 (score_rows). Validation holds out whole multimers as
+    in pre-training. Minibatches hold whole decisions (items of equal
+    ``decision``), and the descent loss is cfg.train.loss plus
+    LISTWISE_WEIGHT times the listwise loss over each decision's candidates.
 
     With ``init``, tuning starts from a copy of it (``init.copy()``): the
     prompt's architecture (hidden width, heads, multi-head mode), dropout and
     input standardization all come from ``init``, and cfg.mlp_hidden,
     cfg.heads, cfg.multi_head and cfg.dropout are ignored.
-
-    Each minibatch encodes its distinct condition graphs and candidate chains
-    once and runs the prompt MLP once per distinct row (pipeline_forward_batch).
-    With dropout on, in the encoder or in the MLP, the actions of a minibatch
-    that share such a row therefore share one dropout mask on it, where a
-    per-action pass would draw one mask per action; stage 2 still draws per
-    action. This is by design: it keeps training on the same distinct-row path
-    as inference, and at dropout 0 it is exact. Its measured effect on a
-    CLI-default run is in CHANGES.md.
     """
     cfg = cfg or PromptTuneConfig()
     if not items:
         raise EmptyDatasetError("no target items")
     gin.set_trainable(False)
     head.set_trainable(False)
+    h, d_rows, u_rows = query_embeddings(items, gin)
     if init is not None:
         prompt = init.copy()
     else:
@@ -503,10 +496,10 @@ def prompt_tune(items, gin, head, cfg=None, init=None):
             gin.config.input_dim, cfg.mlp_hidden, [cfg.seed, 20],
             heads=cfg.heads, multi_head=cfg.multi_head, dropout=cfg.dropout,
         )
-        prompt.standardize_from(query_rows(items, gin))
+        prompt.standardize_from(h.data[np.concatenate([d_rows, u_rows])])
 
     def forward(indices, training, rng):
-        return pipeline_forward_batch([items[i] for i in indices], gin, head, prompt, rng=rng)
+        return score_rows(h, d_rows[indices], u_rows[indices], gin, head, prompt, rng=rng)
 
     labels = np.array([it.y for it in items])
     keys = [it.multimer for it in items]

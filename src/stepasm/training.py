@@ -21,7 +21,9 @@ class TrainConfig:
     loss: str = "mae"
 
     def __post_init__(self):
-        if self.lr <= 0 or self.epochs < 1 or self.batch_size < 1 or self.patience < 1:
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if self.epochs < 1 or self.batch_size < 1 or self.patience < 1:
             raise ValueError("training config values must be positive")
         if not 0.0 <= self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must lie in [0, 1), got {self.val_fraction}")

@@ -491,6 +491,57 @@ def test_cli_rejects_bad_config_values_at_load(tmp_path, capsys, config):
     assert not out.exists()  # rejected before any work
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section,key", [
+    ("pretrain", "lr"), ("prompt", "lr"), ("meta", "inner_lr"), ("meta", "outer_lr"),
+], ids=["pretrain-lr", "prompt-lr", "meta-inner-lr", "meta-outer-lr"])
+def test_config_rejects_non_finite_learning_rates(section, key, value):
+    # json reads NaN and Infinity, and every comparison with NaN is false
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict({section: {key: value}})
+
+
+def test_cli_rejects_a_nan_learning_rate_at_load(workflow, tmp_path, capsys):
+    _, _, data, *_ = workflow
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text('{"pretrain": {"lr": NaN}}')
+    out = tmp_path / "pre.npz"
+    assert cli.main(["pretrain", "--config", str(cfg_path), "--data", str(data),
+                     "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not out.exists()
+
+
+def _one_json_line(text):
+    lines = text.splitlines()
+    assert len(lines) == 1, text
+    return json.loads(lines[0])
+
+
+def test_cli_rejects_a_config_nested_deeper_than_the_stack(tmp_path, capsys):
+    cfg_path = tmp_path / "deep.json"
+    cfg_path.write_text("[" * 100_000)
+    out = tmp_path / "grad.json"
+    assert cli.main(["grad-check", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = _one_json_line(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "not valid JSON" in err["message"]
+    assert not out.exists()
+
+
+def test_cli_rejects_a_checkpoint_whose_metadata_nests_too_deep(workflow, tmp_path, capsys):
+    _, _, data, _, tuned = workflow
+    comps, _ = load_checkpoint(tuned)
+    arrays = {f"{t}/{n}": a for t, named in comps.items() for n, a in named.items()}
+    ckpt = tmp_path / "deep.npz"
+    np.savez(ckpt, __meta__=np.array("[" * 100_000), **arrays)
+    code = cli.main(["infer", "--multimers", str(data / "multimers.jsonl"),
+                     "--ckpt", str(ckpt), "--out", str(tmp_path / "pred")])
+    assert code == 2
+    err = _one_json_line(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "not a checkpoint" in err["message"]
+
+
 def test_zero_adapt_steps_means_no_adaptation_step():
     assert config_from_dict({"meta": {"adapt_steps": 0}}).meta_config().adapt_steps == 0
 

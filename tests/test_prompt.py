@@ -138,14 +138,17 @@ def test_tuning_batches_hold_whole_decisions(setup, monkeypatch):
 
     _, _, _, gin, head, items = setup
     batches = []
-    forward = prompt_mod.pipeline_forward_batch
+    fit = prompt_mod.fit
 
-    def recording(batch, *args, rng=None, **kwargs):
-        if rng is not None:  # a training batch; validation runs without an rng
-            batches.append([it.decision for it in batch])
-        return forward(batch, *args, rng=rng, **kwargs)
+    def recording_fit(labels, keys, forward_fn, *args, **kwargs):
+        def forward(indices, training, rng):
+            if rng is not None:  # a training batch; validation runs without an rng
+                batches.append([items[i].decision for i in indices])
+            return forward_fn(indices, training, rng)
 
-    monkeypatch.setattr(prompt_mod, "pipeline_forward_batch", recording)
+        return fit(labels, keys, forward, *args, **kwargs)
+
+    monkeypatch.setattr(prompt_mod, "fit", recording_fit)
     cfg = PromptTuneConfig(
         train=TrainConfig(lr=0.003, epochs=2, batch_size=8, patience=2,
                           val_fraction=0.0, loss="bce"),
@@ -256,18 +259,18 @@ def test_batched_pipeline_matches_single(setup):
         assert batch[i] == pytest.approx(one, abs=1e-10)
 
 
-def scatter_paths(h_d, h_x, h_y, h_u, gin, head, *, rng=None):
+def scatter_paths(h_d, h_x, h_y, h_u, gin, head):
     """Reference stage 2: the B paths as a general disjoint union, with
     explicit edges and segment ids."""
     b = h_d.data.shape[0]
     feats = concat_rows([h_d, h_x, h_y, h_u])
     edges = [(r * b + i, s * b + i) for r, s in PROMPT_EDGES for i in range(b)]
-    return forward_batch(feats, edges, np.tile(np.arange(b), 4), b, gin, head, rng=rng)
+    return forward_batch(feats, edges, np.tile(np.arange(b), 4), b, gin, head)
 
 
-@pytest.mark.parametrize("b", [1, 2, 7, 128])
-@pytest.mark.parametrize("mode", ["eval", "dropout"])
-def test_score_paths_is_the_scatter_bit_for_bit(b, mode):
+# stage 2 is frozen and has only an eval mode, which the ids name
+@pytest.mark.parametrize("b", [1, 2, 7, 128], ids=lambda b: f"eval-{b}")
+def test_score_paths_is_the_scatter_bit_for_bit(b):
     # compared as uint64, so a +0.0 where the scatter gives -0.0 fails too
     gin = GINParams.init(GINConfig(dropout=0.2), 46)
     head = TaskHeadParams.init(DIM, 16, 47)
@@ -283,8 +286,7 @@ def test_score_paths_is_the_scatter_bit_for_bit(b, mode):
         for t in params.values():
             t.grad = None
         hs = [Tensor(x.copy(), requires_grad=True) for x in data]
-        drop = np.random.default_rng(8) if mode == "dropout" else None
-        out = stage2(*hs, gin, head, rng=drop)
+        out = stage2(*hs, gin, head)
         out.backward(seed)
         results.append([out.data] + [h.grad for h in hs]
                        + [params[k].grad for k in sorted(params)])
@@ -312,7 +314,7 @@ def test_single_item_reference_runs_without_block_sums(setup, monkeypatch):
         score_paths(h, h, h, h, gin, head)
 
 
-def per_item_forward(items, gin, head, prompt, *, rng=None):
+def per_item_forward(items, gin, head, prompt):
     """Reference: each item's condition graph and candidate get rows of their
     own, and the prompt MLP runs on both query rows of every item."""
     feats, edges, d_rows, u_rows = [], [], [], []
@@ -324,10 +326,10 @@ def per_item_forward(items, gin, head, prompt, *, rng=None):
         d_rows.append(offset + it.d_local)
         u_rows.append(offset + k)
         offset += k + 1
-    h = gin_encode(np.concatenate(feats), edges, gin, rng=rng)
+    h = gin_encode(np.concatenate(feats), edges, gin)
     h_d, h_u = gather_rows(h, d_rows), gather_rows(h, u_rows)
-    h_x, h_y = prompt_embeddings(h_d, h_u, prompt, rng=rng)
-    return score_paths(h_d, h_x, h_y, h_u, gin, head, rng=rng)
+    h_x, h_y = prompt_embeddings(h_d, h_u, prompt)
+    return score_paths(h_d, h_x, h_y, h_u, gin, head)
 
 
 def _row_keys(items):
@@ -344,7 +346,7 @@ def _tuning_grads(forward, items, gin, head, prompt):
     ids = {}
     groups = [ids.setdefault(it.decision, len(ids)) for it in items]
     labels = np.array([it.y for it in items])
-    pred = forward(items, gin, head, prompt, rng=np.random.default_rng(0))
+    pred = forward(items, gin, head, prompt)
     loss = add(bce_loss(pred, labels), mul(listwise_loss(
         pred, labels, groups, KEEP_THRESHOLD, LISTWISE_TEMPERATURE), LISTWISE_WEIGHT))
     for t in prompt.trainable_named().values():
@@ -446,6 +448,50 @@ def test_tuning_warm_start_resumes(setup):
     assert np.array_equal(resumed.in_shift.data, first.in_shift.data)
     fresh, fresh_log = prompt_tune(items, gin, head, cfg)
     assert log[0]["train_mae"] < fresh_log[0]["train_mae"]
+
+
+def _short_tune(epochs, **kw):
+    return PromptTuneConfig(
+        train=TrainConfig(lr=0.003, epochs=epochs, batch_size=8, patience=epochs,
+                          val_fraction=0.0, loss="bce"),
+        mlp_hidden=16, dropout=0.0, **kw)
+
+
+def test_frozen_layers_ignore_their_dropout(setup):
+    # the encoder and head are frozen, so they run in eval mode while the
+    # prompt tunes: their dropout rate changes no weight and no log entry
+    *_, items = setup
+    tuned = []
+    for rate in (0.2, 0.0):
+        gin = GINParams.init(GINConfig(dropout=rate), 42)
+        head = TaskHeadParams.init(DIM, 16, 43)
+        prompt, log = prompt_tune(items, gin, head, _short_tune(4))
+        tuned.append((prompt, log))
+    (noisy, noisy_log), (clean, clean_log) = tuned
+    assert [float.hex(e["train_mae"]) for e in noisy_log] == \
+        [float.hex(e["train_mae"]) for e in clean_log]
+    for name, t in clean.named().items():
+        assert np.array_equal(noisy.named()[name].data.view(np.uint64),
+                              t.data.view(np.uint64)), name
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["init-none", "init-given"])
+def test_tuning_encodes_stage_one_once(setup, monkeypatch, warm):
+    import stepasm.prompt as prompt_mod
+
+    *_, gin, head, items = setup
+    init = prompt_tune(items, gin, head, _short_tune(1))[0] if warm else None
+    calls = []
+    encode = prompt_mod.gin_encode
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(prompt_mod, "gin_encode", counting)
+    _, log = prompt_tune(items, gin, head, _short_tune(3), init=init)
+    assert len(log) == 3 and len(items) > 8  # several minibatches per epoch
+    assert len(calls) == 1
 
 
 def test_tune_config_defaults_to_bce():
