@@ -10,9 +10,12 @@ Canonical format (written by this package), one chain per block:
 A restricted legacy reader also accepts protein-structure text files,
 consuming only alpha-carbon ATOM records (first model, first altloc); other
 record types are ignored. Chains shorter than 50 residues are dropped with a
-warning in both formats.
+warning in both formats. A file must be UTF-8, its coordinates finite and
+within MAX_COORD, and at least one of its chains long enough; anything else
+is a MalformedRecordError or an EmptyFileError.
 """
 
+import io
 import warnings
 
 import numpy as np
@@ -23,6 +26,9 @@ from .ioutil import atomic_write_text
 
 FORMAT_HEADER = "#stepasm-chains 1"
 MIN_CHAIN_LEN = 50
+# largest coordinate magnitude read (angstrom): squared distances between such
+# points stay far from float64 overflow when eval superposes them
+MAX_COORD = 1e6
 
 _THREE_TO_ONE = {
     "ALA": "A", "ARG": "R", "ASN": "N", "ASP": "D", "CYS": "C",
@@ -89,8 +95,8 @@ def _parse_canonical(lines):
             xyz = [float(p) for p in parts]
         except ValueError:
             raise MalformedRecordError(f"bad coordinate value in {line!r}", lineno) from None
-        if not all(np.isfinite(v) for v in xyz):
-            raise MalformedRecordError("non-finite coordinate", lineno)
+        if not all(abs(v) <= MAX_COORD for v in xyz):
+            raise MalformedRecordError(f"coordinate not finite or beyond {MAX_COORD:g}", lineno)
         coords.append(xyz)
     close(lines[-1][0] if lines else 0)
     return chains
@@ -116,8 +122,8 @@ def _parse_legacy(lines):
             xyz = [float(rec[30:38]), float(rec[38:46]), float(rec[46:54])]
         except ValueError:
             raise MalformedRecordError(f"unparseable atom record {rec!r}", lineno) from None
-        if not all(np.isfinite(v) for v in xyz):
-            raise MalformedRecordError("non-finite coordinate", lineno)
+        if not all(abs(v) <= MAX_COORD for v in xyz):
+            raise MalformedRecordError(f"coordinate not finite or beyond {MAX_COORD:g}", lineno)
         if chain not in residues:
             residues[chain] = {}
             order.append(chain)
@@ -134,10 +140,23 @@ def _parse_legacy(lines):
     return chains
 
 
+def _numbered_lines(path):
+    """(line number, line) for each line of ``path``, which must be UTF-8.
+    Lines end at \\n, \\r\\n or \\r, as in a text reader."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start].decode("utf-8")
+        lineno = before.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+        raise MalformedRecordError(f"not UTF-8: {exc.reason}", lineno) from None
+    return list(enumerate(io.StringIO(text, newline=None), start=1))
+
+
 def parse_chain_coords(path):
     """ChainStructure list from either supported format; short chains dropped."""
-    with open(path) as fh:
-        lines = [(i, raw) for i, raw in enumerate(fh, start=1)]
+    lines = _numbered_lines(path)
     first = next((raw.strip() for _, raw in lines if raw.strip()), None)
     if first is None:
         raise EmptyFileError(f"{path}: no content")
@@ -159,4 +178,6 @@ def parse_chain_coords(path):
             )
             continue
         kept.append(ChainStructure(chain_id=ident, sequence=seq, coords=coords))
+    if not kept:
+        raise EmptyFileError(f"{path}: every chain has fewer than {MIN_CHAIN_LEN} residues")
     return kept

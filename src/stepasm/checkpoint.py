@@ -44,8 +44,8 @@ _UNREADABLE = (ValueError, KeyError, TypeError, AttributeError, EOFError,
 def load_checkpoint(path):
     """Returns ({tag: {param_name: ndarray}}, meta dict).
 
-    Each array is the one ``np.load`` read for its key: writable, float64 as
-    ``save_checkpoint`` writes it, and shared with no other array.
+    Each array is the one ``np.load`` read for its key: writable, finite,
+    float64 as ``save_checkpoint`` writes it, and shared with no other array.
     """
     try:
         with np.load(path, allow_pickle=False) as npz:
@@ -58,6 +58,8 @@ def load_checkpoint(path):
                 array = npz[key]
                 if array.dtype != np.float64:
                     raise ConfigError(f"{path}: {key} is {array.dtype}, not float64")
+                if not np.isfinite(array).all():
+                    raise ConfigError(f"{path}: {key} holds a NaN or infinite value")
                 components.setdefault(tag, {})[name] = array
         version = meta.get("format_version")
     except _UNREADABLE as exc:

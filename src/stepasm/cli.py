@@ -164,7 +164,8 @@ def cmd_infer(args):
     if small is None:
         raise ConfigError("checkpoint holds no prompt parameters; tune or meta-train first")
     small_pipe = ScoringPipeline(gin, head, small)
-    large_pipe = ScoringPipeline(gin, head, large)
+    # one prompt, one pipeline: what it keeps carries past the switch at 7 chains
+    large_pipe = small_pipe if large is small else ScoringPipeline(gin, head, large)
     path = infer_path(m.chain_features, small_pipe, large_pipe, dimers=m.dimers)
     coords = predict_structure(m.chains, m.dimers, path)
     atomic_write_text(args.out + ".path.txt", path.to_text())

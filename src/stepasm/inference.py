@@ -16,7 +16,7 @@ chains within the encoder's reach of it, so each later step encodes only the
 condition graph (k rows), runs the prompt MLP only on the docked rows that
 changed, and runs stage 2 (the 4-node prompt path and the head, as block
 sums in prompt.score_paths) only on the pairs with such a row; every other
-pair keeps its probability from the step before (prompt.CandidateScorer).
+pair keeps its probability from the step before (ScoringPipeline).
 ``per_step_evals`` still counts every candidate ranked. The encoder, head
 and prompts must not change while a path is scored.
 """
@@ -29,7 +29,6 @@ import numpy as np
 from .datagen import SMALL_SCALE_MAX
 from .errors import (
     LengthMismatchError,
-    MalformedRecordError,
     MissingDimerError,
     ShapeMismatchError,
     UntrainedPipelineError,
@@ -37,7 +36,8 @@ from .errors import (
 )
 from .geometry import superposed_scores
 from .graphs import AssemblyGraph, canonical_edges, place_chains
-from .prompt import CandidateScorer
+# the scorer infer_path takes; the CLI and the package import it from here
+from .prompt import ScoringPipeline  # noqa: F401
 # not called here; kept because perfbench/spans.py patches this name
 from .prompt import pipeline_forward_batch  # noqa: F401
 
@@ -81,55 +81,6 @@ class DockingPath:
         for i, ((d, u), p) in enumerate(zip(self.actions, self.probs), start=1):
             lines.append(f"{i}\t{d}\t{u}\t{p!r}")
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text):
-        actions, probs = [], []
-        for number, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise MalformedRecordError(
-                    f"expected 4 tab-separated fields, got {len(fields)}", number)
-            try:
-                action = (int(fields[1]), int(fields[2]))
-            except ValueError:
-                raise MalformedRecordError(
-                    f"chain indices must be integers, got {fields[1:3]!r}", number
-                ) from None
-            try:
-                prob = float(fields[3])
-            except ValueError:
-                raise MalformedRecordError(
-                    f"probability must be a number, got {fields[3]!r}", number
-                ) from None
-            actions.append(action)
-            probs.append(prob)
-        try:
-            return cls(tuple(actions), tuple(probs))
-        except ValueError as exc:  # the actions do not form a tree
-            raise MalformedRecordError(f"not a docking path: {exc}") from None
-
-
-class ScoringPipeline:
-    """Frozen encoder + head + prompt behind a batched pair scorer that keeps
-    what one greedy step computed for the next (prompt.CandidateScorer). The
-    encoder, head and prompt must not change while a path is scored."""
-
-    def __init__(self, gin, head, prompt):
-        if gin is None or head is None or prompt is None:
-            raise UntrainedPipelineError("encoder, head, and prompt must all be provided")
-        self.gin = gin
-        self.head = head
-        self.prompt = prompt
-        self._scorer = CandidateScorer()
-
-    def score_actions(self, chain_features, cond_nodes, cond_edges, pairs):
-        """Probabilities for candidate (v_d, v_u) actions under one condition graph."""
-        return self._scorer.score(chain_features, cond_nodes, cond_edges, pairs,
-                                  self.gin, self.head, self.prompt)
 
 
 def _pick(pairs, scores, dimers):

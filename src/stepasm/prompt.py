@@ -17,6 +17,7 @@ from .errors import (
     EmptyDatasetError,
     NodeCollisionError,
     ShapeMismatchError,
+    UntrainedPipelineError,
 )
 from .nn.model import MLPParams, forward_batch, forward_blocks, gin_encode, pack_graphs
 from .nn.tensor import (
@@ -360,16 +361,17 @@ def score_paths(h_d, h_x, h_y, h_u, gin, head):
     return forward_blocks(path_feats, b, PATH_NEIGHBOURS, gin, head)
 
 
-class CandidateScorer:
-    """Eval-mode probabilities of (v_d, v_u) actions, one condition graph per
-    call, incremental along the consecutive steps of one greedy path.
+class ScoringPipeline:
+    """Frozen encoder + head + prompt scoring (v_d, v_u) actions in eval mode,
+    one condition graph per call, incremental along the consecutive steps of
+    one greedy path.
 
     Each probability equals ``pipeline_forward`` of its pair up to rounding:
     h_d is v_d's row in the condition graph, h_u the row of v_u encoded as an
     isolated chain (in the first step's edgeless condition, its row there),
     and in single-head mode h_x = T(h_u), h_y = T(h_d).
 
-    The scorer keeps each chain's last row h, its prompt row T(h) and the last
+    It keeps each chain's last row h, its prompt row T(h) and the last
     probability of each pair. A call that is the next growth step of the last
     one keeps them: same ``chain_features`` array, the last call's edges plus
     one, and the chains of the last edged condition plus that edge's ends.
@@ -383,7 +385,12 @@ class CandidateScorer:
     unchanged, as they do while one path is scored.
     """
 
-    def __init__(self):
+    def __init__(self, gin, head, prompt):
+        if gin is None or head is None or prompt is None:
+            raise UntrainedPipelineError("encoder, head, and prompt must all be provided")
+        self.gin = gin
+        self.head = head
+        self.prompt = prompt
         self.features = None
 
     def _follows(self, chain_features, cond_nodes, cond_edges):
@@ -403,7 +410,9 @@ class CandidateScorer:
         self.p = np.empty((n, n))
         self.scored = np.zeros((n, n), dtype=bool)  # p holds the pair's probability
 
-    def score(self, chain_features, cond_nodes, cond_edges, pairs, gin, head, prompt):
+    def score_actions(self, chain_features, cond_nodes, cond_edges, pairs):
+        """Probabilities for candidate (v_d, v_u) actions under one condition graph."""
+        gin, head, prompt = self.gin, self.head, self.prompt
         n = chain_features.shape[0]
         nodes = sorted(cond_nodes)
         in_cond = np.zeros(n, dtype=bool)

@@ -140,18 +140,41 @@ def test_infer_writes_path_structure_and_report(workflow, tmp_path):
     assert [c.chain_id for c in chains] == [c.chain_id for c in multimers[name].chains]
 
 
-def test_infer_nine_chains_uses_fallback_large_prompt(workflow, tmp_path):
-    _, cfg_path, _, _, tuned = workflow
-    nine = tmp_path / "nine"
+@pytest.fixture(scope="module")
+def nine_chains(workflow, tmp_path_factory):
+    _, cfg_path, *_ = workflow
+    nine = tmp_path_factory.mktemp("nine")
     assert cli.main(["gen-data", "--config", str(cfg_path), "--seed", "5",
                      "--n", "9", "--count", "1", "--out", str(nine)]) == 0
+    return nine / "multimers.jsonl"
+
+
+def test_infer_nine_chains_uses_fallback_large_prompt(workflow, nine_chains, tmp_path):
+    tuned = workflow[-1]
     out = tmp_path / "nine-pred"
-    assert cli.main(["infer", "--multimers", str(nine / "multimers.jsonl"),
+    assert cli.main(["infer", "--multimers", str(nine_chains),
                      "--ckpt", str(tuned), "--out", str(out)]) == 0
     report = json.loads(open(str(out) + ".report.json").read())
     assert report["n_chains"] == 9
     assert len(report["actions"]) == 8
     assert report["per_step_evals"][0] == 9 * 8
+
+
+def test_infer_scores_one_prompt_with_one_pipeline(workflow, nine_chains, tmp_path,
+                                                   monkeypatch):
+    """A prompt-tune checkpoint has no adapted prompt, so the path past 7
+    chains goes on with the pipeline, and what it keeps, of the first 7."""
+    built = []
+
+    class Counted(cli.ScoringPipeline):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(cli, "ScoringPipeline", Counted)
+    assert cli.main(["infer", "--multimers", str(nine_chains), "--ckpt", str(workflow[-1]),
+                     "--out", str(tmp_path / "pred")]) == 0
+    assert len(built) == 1
 
 
 def test_eval_cli_scores_prediction_files(workflow, tmp_path, capsys):
@@ -671,6 +694,24 @@ def test_checkpoint_rejects_arrays_that_are_not_float64(workflow, tmp_path, caps
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_checkpoint_rejects_arrays_that_are_not_finite(workflow, tmp_path, capsys, value):
+    _, _, data, _, tuned = workflow
+    comps, meta = load_checkpoint(tuned)
+    arrays = {f"{t}/{n}": a for t, named in comps.items() for n, a in named.items()}
+    victim = next(k for k in arrays if k.startswith("prompt/"))
+    arrays[victim].flat[-1] = value
+    path = tmp_path / "m.npz"
+    np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
+    with pytest.raises(ConfigError, match=f"{victim} holds a NaN or infinite value"):
+        load_checkpoint(path)
+    code = cli.main(["infer", "--multimers", str(data / "multimers.jsonl"),
+                     "--ckpt", str(path), "--out", str(tmp_path / "pred")])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not (tmp_path / "pred.report.json").exists()
+
+
 def test_checkpoint_missing_parameter_rejected(tmp_path):
     gin = GINParams.init(GINConfig(hidden_dim=4), 86)
     head = TaskHeadParams.init(13, 4, 87)
@@ -754,6 +795,41 @@ def test_malformed_chain_files_raise_with_line_numbers(tmp_path):
     empty.write_text("\n\n")
     with pytest.raises(EmptyFileError):
         parse_chain_coords(empty)
+
+
+def test_chain_file_that_is_not_utf8_reports_its_line(tmp_path, capsys):
+    good = tmp_path / "good.txt"
+    write_chain_file(good, [ChainStructure("A", _long_seq(), np.zeros((60, 3)))])
+    lines = good.read_bytes().split(b"\n")
+    lines[1] = b">\xff"
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\r\n".join(lines))
+    with pytest.raises(MalformedRecordError, match="^line 2: not UTF-8"):
+        parse_chain_coords(bad)
+    assert cli.main(["eval", "--pred", str(bad), "--gt", str(good)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and json.loads(err)["error"] == "MalformedRecordError"
+
+
+def test_chain_file_of_short_chains_only_is_empty(tmp_path, capsys):
+    short = tmp_path / "short.txt"
+    write_chain_file(short, [ChainStructure("A", "ACD", np.eye(3))])
+    with pytest.warns(ShortChainWarning), pytest.raises(EmptyFileError, match="fewer than 50"):
+        parse_chain_coords(short)
+    with pytest.warns(ShortChainWarning):
+        assert cli.main(["eval", "--pred", str(short), "--gt", str(short)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "EmptyFileError"
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf", "1e200", "-1000000.5"])
+def test_chain_file_rejects_coordinates_eval_cannot_square(tmp_path, value):
+    path = tmp_path / "far.txt"
+    write_chain_file(path, [ChainStructure("A", _long_seq(), np.zeros((60, 3)))])
+    lines = path.read_text().split("\n")
+    lines[5] = f"0 {value} 0"
+    path.write_text("\n".join(lines))
+    with pytest.raises(MalformedRecordError, match="^line 6: coordinate not finite or beyond"):
+        parse_chain_coords(path)
 
 
 def test_residue_count_mismatch_rejected(tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from stepasm import cli
+from stepasm.chainio import MIN_CHAIN_LEN, write_chain_file
 from stepasm.datagen import (
     gen_synthetic_multimer,
     multimer_from_dict,
@@ -27,6 +28,7 @@ from stepasm.geometry import (
     tm_score,
 )
 from stepasm.graphs import (
+    ChainStructure,
     DimerLibrary,
     Oracle,
     assembly_correctness,
@@ -109,9 +111,12 @@ def docking_paths(draw):
 
 @given(docking_paths())
 def test_docking_path_text_roundtrip(path):
-    back = DockingPath.from_text(path.to_text())
-    assert back.actions == path.actions
-    assert [p.hex() for p in back.probs] == [p.hex() for p in path.probs]
+    """The path text `stepasm infer` writes names each action and its exact
+    probability, one tab-separated line per step."""
+    rows = [line.split("\t") for line in path.to_text().splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == list(range(1, path.n))
+    assert [(int(r[1]), int(r[2])) for r in rows] == list(path.actions)
+    assert [float(r[3]).hex() for r in rows] == [p.hex() for p in path.probs]
 
 
 @given(n=st.integers(3, 5), seed=st.integers(0, 2**32 - 1))
@@ -320,6 +325,57 @@ def test_mutated_multimer_file_exits_cleanly(record, tmp_path_factory, capsys, d
     path = tmp_path_factory.mktemp("mut") / "multimers.jsonl"
     path.write_text(data.draw(mutations(record)) + "\n")
     _assert_clean_exit(["enumerate-oracle", "--multimers", str(path)], capsys)
+
+
+@pytest.fixture(scope="module")
+def chain_structures():
+    m = gen_synthetic_multimer(3, np.random.default_rng(126), name="m3")
+    return [ChainStructure(c.chain_id, c.sequence, g) for c, g in zip(m.chains, m.gt_coords)]
+
+
+@st.composite
+def chain_file_mutations(draw, chains, path):
+    """Bytes of a chain file for ``chains`` with one byte flipped, cut short,
+    given bytes that are not UTF-8, a coordinate that is not a usable number,
+    or its chains cut below 50 residues."""
+    kind = draw(st.sampled_from(["flip", "truncate", "not-utf8", "number", "short"]))
+    if kind == "short":
+        cut = []
+        for c in chains:
+            k = draw(st.integers(1, MIN_CHAIN_LEN - 1))
+            cut.append(dataclasses.replace(c, sequence=c.sequence[:k], coords=c.coords[:k]))
+        write_chain_file(path, cut)
+        return path.read_bytes()
+    write_chain_file(path, chains)
+    blob = path.read_bytes()
+    at = draw(st.integers(0, len(blob) - 1))
+    if kind == "flip":
+        byte = draw(st.integers(0, 255).filter(lambda b: b != blob[at]))
+        return blob[:at] + bytes([byte]) + blob[at + 1:]
+    if kind == "truncate":
+        return blob[:at]
+    if kind == "number":
+        lines = blob.split(b"\n")
+        i = draw(st.sampled_from([i for i, line in enumerate(lines) if line.count(b" ") == 2]))
+        xyz = lines[i].split(b" ")
+        xyz[draw(st.integers(0, 2))] = draw(st.sampled_from(
+            [b"NaN", b"-inf", b"1e999", b"1e200", b"-3e7", b"1e", b"0x1p3"]))
+        return b"\n".join(lines[:i] + [b" ".join(xyz)] + lines[i + 1:])
+    bad = draw(st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"]))
+    return blob[:at] + bad + blob[at:]
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@pytest.mark.filterwarnings("ignore::stepasm.errors.ShortChainWarning")
+def test_mutated_chain_file_exits_cleanly(chain_structures, tmp_path_factory, capsys, data):
+    root = tmp_path_factory.mktemp("chains")
+    gt, pred = root / "gt.txt", root / "pred.txt"
+    write_chain_file(gt, chain_structures)
+    pred.write_bytes(data.draw(chain_file_mutations(chain_structures, root / "draft.txt")))
+    _assert_clean_exit(["eval", "--pred", str(pred), "--gt", str(gt),
+                        "--out", str(root / "eval.json")], capsys)
 
 
 @pytest.fixture(scope="module")
