@@ -10,9 +10,9 @@ Canonical format (written by this package), one chain per block:
 A restricted legacy reader also accepts protein-structure text files,
 consuming only alpha-carbon ATOM records (first model, first altloc); other
 record types are ignored. Chains shorter than 50 residues are dropped with a
-warning in both formats. A file must be UTF-8, its coordinates finite and
-within MAX_COORD, and at least one of its chains long enough; anything else
-is a MalformedRecordError or an EmptyFileError.
+warning in both formats. A file must be UTF-8, its chain ids distinct, its
+coordinates finite and within MAX_COORD, and at least one of its chains long
+enough; anything else is a MalformedRecordError or an EmptyFileError.
 """
 
 import io
@@ -77,6 +77,8 @@ def _parse_canonical(lines):
             ident = line[1:].strip()
             if not ident:
                 raise MalformedRecordError("empty chain identifier", lineno)
+            if ident in (c[0] for c in chains):
+                raise MalformedRecordError(f"chain id {ident!r} repeated", lineno)
             sequence = None
             coords = []
             continue

@@ -13,11 +13,12 @@ from dataclasses import asdict
 
 import numpy as np
 
+from .config import config_from_dict
 from .errors import ConfigError, ShapeMismatchError
 from .ioutil import atomic_write_bytes
 from .nn.model import GINConfig, GINParams, MLPParams, TaskHeadParams
 from .nn.tensor import Tensor
-from .prompt import PromptParams
+from .prompt import PromptParams, PromptTuneConfig
 
 FORMAT_VERSION = 1
 
@@ -116,7 +117,8 @@ def save_models(path, gin, head, prompts=None, meta=None):
 def load_models(path):
     """Rebuild (gin, head, prompts, meta) from a save_models checkpoint.
 
-    The parameters are the checkpoint's arrays themselves, one array each,
+    Each prompt's settings must pass the checks of ``PromptTuneConfig``. The
+    parameters are the checkpoint's arrays themselves, one array each,
     with the requires_grad flags a fresh ``init`` gives.
     """
     components, meta = load_checkpoint(path)
@@ -131,6 +133,10 @@ def load_models(path):
         _fill(head.named(), components["head"], "head")
         prompts = {}
         for tag, pcfg in arch["prompts"].items():
+            try:  # the types and values a run config's prompt settings may take
+                config_from_dict(pcfg, PromptTuneConfig())
+            except ConfigError as exc:
+                raise ConfigError(f"{path}: prompt {tag!r}: {exc}") from None
             hidden = pcfg["mlp_hidden"]
             prompt = PromptParams(
                 _mlp((config.input_dim, hidden, hidden, config.input_dim)),

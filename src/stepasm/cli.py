@@ -16,7 +16,7 @@ from .chainio import parse_chain_coords, write_chain_file
 from .checkpoint import load_models, save_models
 from .config import DataConfig, RunConfig, config_from_dict, config_hash, load_config
 from .diagnostics import batched_gradcheck, gradcheck
-from .errors import ConfigError, StepasmError
+from .errors import ConfigError, LengthMismatchError, StepasmError
 from .graphs import ChainStructure, best_assembly, enumerate_scores
 from .inference import ScoringPipeline, evaluate, infer_path, predict_structure
 from .ioutil import atomic_write_text
@@ -95,8 +95,6 @@ def cmd_pretrain(args):
     multimers = datagen.load_multimers(os.path.join(args.data, "multimers.jsonl"))
     instances = datagen.load_source_dataset(os.path.join(args.data, "source.jsonl"), multimers)
     gin, head, log = pretrain(instances, multimers, cfg.pretrain_config())
-    gin.set_trainable(False)
-    head.set_trainable(False)
     save_models(args.out, gin, head, meta={**_stamp(cfg), "stage": "pretrain"})
     _write_json(args.out + ".log.json", {**_stamp(cfg), "epochs": log})
     final = log[-1]
@@ -192,8 +190,17 @@ def cmd_eval(args):
         raise ConfigError("need one --gt file per --pred file")
     preds, gts, names = [], [], []
     for p, g in zip(args.pred, args.gt):
-        preds.append([c.coords for c in parse_chain_coords(p)])
-        gts.append([c.coords for c in parse_chain_coords(g)])
+        # chains pair by id, in the ground truth's order
+        pred = {c.chain_id: c.coords for c in parse_chain_coords(p)}
+        gt = parse_chain_coords(g)
+        unmatched = set(pred) ^ {c.chain_id for c in gt}
+        if unmatched:
+            raise ConfigError(f"chain ids in only one of {p} and {g}: {sorted(unmatched)}")
+        uneven = [c.chain_id for c in gt if len(pred[c.chain_id]) != len(c)]
+        if uneven:
+            raise LengthMismatchError(f"{p} and {g} differ in the length of chains {uneven}")
+        preds.append([pred[c.chain_id] for c in gt])
+        gts.append([c.coords for c in gt])
         names.append(os.path.basename(p))
     report = evaluate(preds, gts, names)
     sys.stdout.write(report.to_text())

@@ -14,7 +14,6 @@ import numpy as np
 from .errors import EmptySequenceError, UnknownResidueWarning
 
 EMBED_DIM = 13
-FEATURE_VERSION = 1
 
 # Conjoint-triad grouping by dipole and side-chain volume.
 _CLASSES = ("AGV", "ILFP", "YMTS", "HNQW", "RK", "DE", "C")

@@ -199,8 +199,6 @@ def enumerate_uca(n):
         raise TreeTooLargeError(
             f"refusing to enumerate {n}^{n - 2} trees (limit n = {ENUMERATION_LIMIT})"
         )
-    if n == 2:
-        return [((0, 1),)]
     return [
         edges_from_prufer(seq, n)
         for seq in itertools.product(range(n), repeat=n - 2)

@@ -9,16 +9,11 @@ beyond that the large-scale-adapted prompt takes over.
 
 The first step is one scoring call: its condition is the edgeless graph over
 all N chains, in which each chain encodes exactly as in its singleton {d}.
-That call encodes every chain once, giving each its row h and, in
-single-head mode, its prompt row T(h); an undocked chain keeps both for the
-rest of the path. A step's new edge changes only the rows of the docked
-chains within the encoder's reach of it, so each later step encodes only the
-condition graph (k rows), runs the prompt MLP only on the docked rows that
-changed, and runs stage 2 (the 4-node prompt path and the head, as block
-sums in prompt.score_paths) only on the pairs with such a row; every other
-pair keeps its probability from the step before (ScoringPipeline).
-``per_step_evals`` still counts every candidate ranked. The encoder, head
-and prompts must not change while a path is scored.
+Every step encodes the condition graph and each undocked chain. A step's new
+edge moves only the rows of the docked chains within the encoder's reach of
+it, and ScoringPipeline runs the prompt MLP and stage 2 only where a row
+moved. ``per_step_evals`` still counts every candidate ranked. The encoder,
+head and prompts must not change while a path is scored.
 """
 
 import logging

@@ -363,26 +363,27 @@ def score_paths(h_d, h_x, h_y, h_u, gin, head):
 
 class ScoringPipeline:
     """Frozen encoder + head + prompt scoring (v_d, v_u) actions in eval mode,
-    one condition graph per call, incremental along the consecutive steps of
-    one greedy path.
+    one condition graph per call, reusing what it kept by content.
 
     Each probability equals ``pipeline_forward`` of its pair up to rounding:
     h_d is v_d's row in the condition graph, h_u the row of v_u encoded as an
     isolated chain (in the first step's edgeless condition, its row there),
     and in single-head mode h_x = T(h_u), h_y = T(h_d).
 
-    It keeps each chain's last row h, its prompt row T(h) and the last
-    probability of each pair. A call that is the next growth step of the last
-    one keeps them: same ``chain_features`` array, the last call's edges plus
-    one, and the chains of the last edged condition plus that edge's ends.
-    Any other call, an edgeless condition included, starts empty, so a path's
-    first call is the empty case of the same steps. A call encodes the
-    condition graph and the candidates that have no row yet, runs T only on
-    the rows whose h is not bitwise the kept one, and stage 2 only on the
-    pairs with such a row; every other pair keeps its probability. In
-    multi-head mode T depends on the pair, so only probabilities are kept.
-    What is kept is right only while the encoder, head and prompt stay
-    unchanged, as they do while one path is scored.
+    A pair's probability depends only on its rows h_d and h_u and on the
+    model, so what is kept is keyed by content. Each call encodes every row
+    it needs, the condition graph and each candidate it ranks as an isolated
+    chain, and compares each row bitwise with the chain's kept row. It runs
+    T only on the rows that moved, and stage 2 only on the pairs that have
+    such a row or no kept probability. NaN marks a row or probability not
+    kept, as both are finite for finite inputs. In multi-head mode T depends
+    on the pair, so only rows and probabilities are kept.
+
+    One restart rule: a call starts empty unless its condition has more
+    edges than the last call's, over the same number of chains. In
+    ``infer_path`` that is each path's first call to the pipeline, so a
+    model changed in place between two paths is never reused; it must not
+    change while one path is scored.
     """
 
     def __init__(self, gin, head, prompt):
@@ -391,29 +392,13 @@ class ScoringPipeline:
         self.gin = gin
         self.head = head
         self.prompt = prompt
-        self.features = None
-
-    def _follows(self, chain_features, cond_nodes, cond_edges):
-        if chain_features is not self.features or not cond_edges:
-            return False
-        if tuple(cond_edges[:-1]) != self.edges:
-            return False
-        grown = set(self.nodes if self.edges else ()) | set(cond_edges[-1])
-        return set(cond_nodes) == grown
-
-    def _start(self, chain_features):
-        n, dim = chain_features.shape
-        self.features = chain_features
-        self.h = np.empty((n, dim))
-        self.t = np.empty((n, dim))
-        self.known = np.zeros(n, dtype=bool)  # h holds the chain's row, t its T(h)
-        self.p = np.empty((n, n))
-        self.scored = np.zeros((n, n), dtype=bool)  # p holds the pair's probability
+        self.depth = 0  # edges of the last call's condition
+        self.p = np.empty((0, 0))  # nothing kept yet
 
     def score_actions(self, chain_features, cond_nodes, cond_edges, pairs):
         """Probabilities for candidate (v_d, v_u) actions under one condition graph."""
         gin, head, prompt = self.gin, self.head, self.prompt
-        n = chain_features.shape[0]
+        n, dim = chain_features.shape
         nodes = sorted(cond_nodes)
         in_cond = np.zeros(n, dtype=bool)
         in_cond[nodes] = True
@@ -425,27 +410,27 @@ class ScoringPipeline:
             raise ValueError("a docked node is not in the condition graph")
         if docked[u].any():
             raise NodeCollisionError("a candidate chain is docked in the condition graph")
-        if not self._follows(chain_features, cond_nodes, cond_edges):
-            self._start(chain_features)
-        self.nodes, self.edges = tuple(cond_nodes), tuple(cond_edges)
+        if len(cond_edges) <= self.depth or n != len(self.p):
+            self.h = np.full((n, dim), np.nan)  # each chain's kept row
+            self.t = np.full((n, dim), np.nan)  # its T(h), single-head mode only
+            self.p = np.full((n, n), np.nan)  # each pair's kept probability
+        self.depth = len(cond_edges)
 
-        rows = nodes + np.unique(u[~in_cond[u] & ~self.known[u]]).tolist()
+        rows = nodes + np.unique(u[~in_cond[u]]).tolist()
         pos = {v: i for i, v in enumerate(nodes)}
         local = [(pos[a], pos[b]) for a, b in cond_edges]
         h = gin_encode(chain_features[rows], local, gin).data
         rows = np.asarray(rows, dtype=np.intp)
-        changed = ~self.known[rows] | (
-            h.view(np.uint64) != self.h[rows].view(np.uint64)).any(axis=1)
+        changed = (h.view(np.uint64) != self.h[rows].view(np.uint64)).any(axis=1)
         moved = rows[changed]
         if moved.size:
-            self.scored[moved, :] = False
-            self.scored[:, moved] = False
+            self.p[moved, :] = np.nan
+            self.p[:, moved] = np.nan
             if not prompt.multi_head:
                 self.t[moved] = prompt.transform(h[changed]).data
             self.h[moved] = h[changed]
-            self.known[moved] = True
 
-        todo = ~self.scored[d, u]
+        todo = np.isnan(self.p[d, u])
         if todo.any():
             d_new, u_new = d[todo], u[todo]
             h_d, h_u = self.h[d_new], self.h[u_new]
@@ -454,7 +439,6 @@ class ScoringPipeline:
             else:
                 h_x, h_y = self.t[u_new], self.t[d_new]
             self.p[d_new, u_new] = score_paths(h_d, h_x, h_y, h_u, gin, head).data.ravel()
-            self.scored[d_new, u_new] = True
         return self.p[d, u]
 
 

@@ -196,6 +196,48 @@ def test_eval_cli_scores_prediction_files(workflow, tmp_path, capsys):
     assert report["rmsd_mean"] == pytest.approx(0.0, abs=1e-9)
 
 
+def _three_chains(tmp_path):
+    """A 3-chain ground-truth file and its chains."""
+    m = gen_synthetic_multimer(3, 5)
+    chains = [ChainStructure(c.chain_id, c.sequence, g) for c, g in zip(m.chains, m.gt_coords)]
+    gt = tmp_path / "gt.txt"
+    write_chain_file(gt, chains)
+    return gt, chains
+
+
+def test_eval_pairs_chains_by_id_not_by_file_order(tmp_path):
+    gt, chains = _three_chains(tmp_path)
+    rotated = tmp_path / "rotated.txt"
+    write_chain_file(rotated, chains[1:] + chains[:1])
+    report_path = tmp_path / "eval.json"
+    assert cli.main(["eval", "--pred", str(rotated), "--gt", str(gt),
+                     "--out", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    assert report["tm_mean"] == pytest.approx(1.0)
+    assert report["rmsd_mean"] == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("case, error", [("ids-differ", "ConfigError"),
+                                         ("id-repeated", "MalformedRecordError"),
+                                         ("lengths-swapped", "LengthMismatchError")])
+def test_eval_rejects_chains_that_do_not_pair(tmp_path, capsys, case, error):
+    gt, chains = _three_chains(tmp_path)
+    pred = tmp_path / "pred.txt"
+    if case == "ids-differ":
+        write_chain_file(pred, [dataclasses.replace(chains[0], chain_id="Z")] + chains[1:])
+    elif case == "id-repeated":
+        write_chain_file(pred, chains + chains[:1])
+    else:
+        # the same residues in the same order, cut into chains of other lengths
+        coords = np.concatenate([c.coords for c in chains])
+        seqs = "".join(c.sequence for c in chains)
+        cut = [0, len(chains[1]), len(chains[1]) + len(chains[0]), len(seqs)]
+        write_chain_file(pred, [ChainStructure(c.chain_id, seqs[a:b], coords[a:b])
+                                for c, a, b in zip(chains, cut, cut[1:])])
+    assert cli.main(["eval", "--pred", str(pred), "--gt", str(gt)]) == 2
+    assert _one_json_line(capsys.readouterr().err)["error"] == error
+
+
 def test_enumerate_oracle_cli(workflow, tmp_path, capsys):
     _, _, data, *_ = workflow
     out = tmp_path / "oracle.json"
@@ -709,6 +751,32 @@ def test_checkpoint_rejects_arrays_that_are_not_finite(workflow, tmp_path, capsy
                      "--ckpt", str(path), "--out", str(tmp_path / "pred")])
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not (tmp_path / "pred.report.json").exists()
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"heads": 0, "multi_head": True}, "heads must be positive"),
+    ({"heads": -1, "multi_head": True}, "heads must be positive"),
+    ({"multi_head": "yes"}, "multi_head: expected bool"),
+    ({"dropout": float("nan")}, "dropout must lie in"),
+    ({"dropout": 5.0}, "dropout must lie in"),
+    ({"heads": 2.5}, "heads: expected int"),
+], ids=["heads-0", "heads-minus-1", "multi-head-string", "dropout-nan", "dropout-5",
+        "heads-float"])
+def test_checkpoint_rejects_prompt_settings_tuning_rejects(workflow, tmp_path, capsys,
+                                                          settings, message):
+    _, _, data, _, tuned = workflow
+    comps, meta = load_checkpoint(tuned)
+    arrays = {f"{t}/{n}": a for t, named in comps.items() for n, a in named.items()}
+    meta["arch"]["prompts"]["prompt"].update(settings)
+    path = tmp_path / "m.npz"
+    np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
+    with pytest.raises(ConfigError, match=message):
+        load_models(path)
+    code = cli.main(["infer", "--multimers", str(data / "multimers.jsonl"),
+                     "--ckpt", str(path), "--out", str(tmp_path / "pred")])
+    assert code == 2
+    assert _one_json_line(capsys.readouterr().err)["error"] == "ConfigError"
     assert not (tmp_path / "pred.report.json").exists()
 
 

@@ -1,5 +1,6 @@
 """Greedy path inference, step-count accounting, evaluation, CKA."""
 
+import contextlib
 import itertools
 
 import numpy as np
@@ -195,20 +196,45 @@ def test_infer_path_matches_single_item_reference_across_the_switch():
         edges.append((min(d, u), max(d, u)))
 
 
+@contextlib.contextmanager
+def counting_mlp_rows(rows):
+    """Appends the row count of each PromptParams.transform call to ``rows``."""
+    transform = PromptParams.transform
+
+    def counted(self, x, **kwargs):
+        rows.append(np.shape(getattr(x, "data", x))[0])
+        return transform(self, x, **kwargs)
+
+    PromptParams.transform = counted
+    try:
+        yield
+    finally:
+        PromptParams.transform = transform
+
+
 class FreshChecked(ScoringPipeline):
     """The real pipeline, each call also scored by a fresh pipeline, which
-    keeps nothing from earlier steps; records each call whose scores differ."""
+    keeps nothing from earlier steps; records each call whose scores differ
+    and the prompt-MLP rows the real pipeline ran. ``edit(chain_features,
+    call)`` gives the features a call scores, by default those it was given."""
 
-    def __init__(self, gin, head, prompt):
+    def __init__(self, gin, head, prompt, edit=None):
         super().__init__(gin, head, prompt)
+        self.edit = edit
         self.calls = 0
         self.unequal = []  # (edges, max abs difference) of calls not uint64-equal
+        self.mlp_rows = []  # per call
 
     def score_actions(self, chain_features, cond_nodes, cond_edges, pairs):
-        got = super().score_actions(chain_features, cond_nodes, cond_edges, pairs)
+        if self.edit is not None:
+            chain_features = self.edit(chain_features, self.calls)
+        rows = []
+        with counting_mlp_rows(rows):
+            got = super().score_actions(chain_features, cond_nodes, cond_edges, pairs)
         fresh = ScoringPipeline(self.gin, self.head, self.prompt).score_actions(
             chain_features, cond_nodes, cond_edges, pairs)
         self.calls += 1
+        self.mlp_rows.append(sum(rows))
         if not np.array_equal(got.view(np.uint64), fresh.view(np.uint64)):
             self.unequal.append((len(cond_edges), float(np.abs(got - fresh).max())))
         return got
@@ -227,6 +253,48 @@ def test_incremental_steps_score_as_a_fresh_pipeline(n, prompt_kw):
     assert path.per_step_evals == expected_step_evals(n)
     # post-action sizes 2..7 go to the small prompt, 8..n to the large one
     assert (small.calls, large.calls) == (SMALL_ASSEMBLY_MAX - 1, n - SMALL_ASSEMBLY_MAX)
+    assert small.unequal == [] and large.unequal == []
+
+
+@pytest.mark.parametrize("n", [8, 30])
+def test_growth_step_on_an_equal_copy_runs_the_prompt_mlp_on_moved_rows_only(n):
+    base = untrained_pipeline()
+    large_prompt = PromptParams.init(DIM, 8, 91, dropout=0.0)
+    feats = np.random.default_rng(99 + n).uniform(0.0, 0.6, size=(n, DIM))
+    paths, rows = [], []
+    for edit in (None, lambda f, call: f.copy()):
+        small = FreshChecked(base.gin, base.head, base.prompt, edit)
+        large = FreshChecked(base.gin, base.head, large_prompt, edit)
+        paths.append(infer_path(feats, small, large_pipeline=large))
+        assert small.unequal == [] and large.unequal == []
+        rows.append((small.mlp_rows, large.mlp_rows))
+    assert paths[0] == paths[1]
+    assert rows[0] == rows[1]
+    # a pipeline's first call runs T on every chain; a growth step over k
+    # edges only on rows that moved, which are rows of its k + 1 docked chains
+    for first_edges, counts in zip((0, SMALL_ASSEMBLY_MAX - 1), rows[1]):
+        assert counts[0] == n
+        assert all(count <= edges + 1
+                   for edges, count in enumerate(counts[1:], start=first_edges + 1))
+
+
+@pytest.mark.parametrize("prompt_kw", [{}, {"multi_head": True, "heads": 4}],
+                         ids=["single-head", "multi-head"])
+def test_growth_step_after_features_changed_in_place_scores_as_a_fresh_pipeline(prompt_kw):
+    n = 12
+    base = untrained_pipeline(**prompt_kw)
+
+    def rescale(feats, call):
+        if call == 2:
+            feats *= 0.9  # in place, between two growth steps of one path
+        return feats
+
+    small = FreshChecked(base.gin, base.head, base.prompt, rescale)
+    large = FreshChecked(base.gin, base.head,
+                         PromptParams.init(DIM, 8, 91, dropout=0.0, **prompt_kw))
+    feats = np.random.default_rng(100).uniform(0.0, 0.6, size=(n, DIM))
+    infer_path(feats, small, large_pipeline=large)
+    assert small.calls > 2
     assert small.unequal == [] and large.unequal == []
 
 
