@@ -386,6 +386,9 @@ def multimer_from_dict(d):
         ChainStructure(c["id"], c["sequence"], np.array(c["coords"]))
         for c in d["chains"]
     )
+    # inference and the oracle assemble at least one dimer
+    if len(chains) < 2:
+        raise ValueError(f"a multimer needs at least two chains, got {len(chains)}")
     dimers = DimerLibrary()
     for key, (xa, xb) in d["dimers"].items():
         a, b = key.split("-")
@@ -519,12 +522,16 @@ def load_multimer(path, name=None):
 
 def _load_dataset(path, multimers, make):
     """``make(record, multimer)`` for the records of ``path``, each with the
-    multimer of ``multimers`` it names."""
+    multimer of ``multimers`` it names and a label y in [0, 1]."""
     def convert(r):
         m = multimers.get(r["multimer"])
         if m is None or m.n != r["n"]:
             raise ValueError(f"no {r['n']}-chain multimer named {r['multimer']!r}")
-        return make(r, m)
+        inst = make(r, m)
+        # a correctness score; NaN fails this test too
+        if not 0.0 <= inst.y <= 1.0:
+            raise ValueError(f"label y must lie in [0, 1], got {inst.y}")
+        return inst
 
     instances = _load_records(path, convert)
     if not instances:

@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import split_by_scale
+from .datagen import SMALL_SCALE_MAX
 from .errors import EmptyDatasetError, InsufficientDataError, ShapeMismatchError
 from .nn.model import flatten_named, grad_vector, load_vector
-from .nn.tensor import bce_loss
-from .prompt import PromptParams, PromptTuneConfig, query_embeddings, query_rows, score_rows
+from .nn.tensor import Tensor, bce_loss
+from .prompt import PromptParams, PromptTuneConfig, query_embeddings, score_rows
 # not called here; kept because perfbench/spans.py patches this name
 from .prompt import pipeline_forward_batch  # noqa: F401
 
@@ -46,6 +46,9 @@ class MetaStageConfig:
             raise ValueError("meta config counts must be positive")
         if self.adapt_steps < 0:
             raise ValueError("adapt_steps must be non-negative (0 skips adaptation)")
+        if not self.first_order and self.inner_steps != 1:
+            raise ValueError("the exact second-order path (first_order false) supports "
+                             f"a single inner step, got inner_steps {self.inner_steps}")
 
 
 @dataclass(frozen=True)
@@ -74,16 +77,26 @@ class VectorObjective:
         return np.asarray(g, dtype=np.float64)
 
 
-def prompt_objective(items, gin, head, template):
+def prompt_objective(table, labels, gin, head, template):
     """VectorObjective over prompt-MLP weights: tuning loss of the pipeline.
 
-    ``template`` supplies architecture and receives the vector on every call;
-    forwards run in evaluation mode so the objective is deterministic. The
-    frozen encoder's stage-1 rows are therefore constants: they are encoded
-    once, here, and each call runs only the prompt MLP and stage 2.
+    ``table`` is a stage-1 table (h, d_rows, u_rows) as query_embeddings
+    returns it: example i's query embeddings are rows d_rows[i] and u_rows[i]
+    of h, and its label is labels[i]. The frozen encoder's rows are constants
+    of the objective, read as data, so each call runs only the prompt MLP and
+    stage 2. ``template`` supplies the architecture and a copy of it receives
+    the vector on every call; forwards run in evaluation mode so the
+    objective is deterministic.
     """
+    # stage 2 runs through the encoder and head; only the prompt may learn
     gin.set_trainable(False)
     head.set_trainable(False)
+    h, d_rows, u_rows = table
+    # a table encoded while the encoder was trainable must not backpropagate into it
+    h = Tensor(h.data)
+    labels = np.asarray(labels, dtype=np.float64)
+    if labels.shape != d_rows.shape:
+        raise ShapeMismatchError(f"{labels.size} labels for {d_rows.size} examples")
     work = template.copy()
     work.set_trainable(True)
     # whitening buffers stay out of the vector: they are data statistics, and
@@ -92,8 +105,6 @@ def prompt_objective(items, gin, head, template):
     vec0, layout = flatten_named(named)
     sizes = [int(np.prod(shape, dtype=np.intp)) for _, shape in layout]
     bounds = np.cumsum([0] + sizes).tolist()
-    labels = np.array([it.y for it in items])
-    h, d_rows, u_rows = query_embeddings(items, gin)
 
     def run(vec, idx, want_grad):
         # read-only views of vec: load_vector would copy every weight per call
@@ -115,7 +126,7 @@ def prompt_objective(items, gin, head, template):
     return (
         VectorObjective(
             lambda v, i: run(v, i, False), lambda v, i: run(v, i, True),
-            vec0.size, len(items),
+            vec0.size, d_rows.size,
         ),
         vec0,
         layout,
@@ -225,12 +236,14 @@ def meta_prompt(items, gin, head, meta_cfg=None, tune_cfg=None):
 
     Small-scale items (N <= 7) drive meta-initialization; large-scale items
     (N >= 8) drive the final adaptation. With no large items the adapted
-    prompt equals the meta one.
+    prompt equals the meta one. Stage 1 is encoded once (query_embeddings):
+    the prompt's whitening and both objectives read rows of that one table.
     """
     meta_cfg = meta_cfg or MetaConfig()
     tune_cfg = tune_cfg or PromptTuneConfig()
-    small, large = split_by_scale(items)
-    if not small:
+    small = np.flatnonzero([it.n <= SMALL_SCALE_MAX for it in items])
+    large = np.flatnonzero([it.n > SMALL_SCALE_MAX for it in items])
+    if not small.size:
         raise InsufficientDataError("meta-initialization needs small-scale items")
     template = PromptParams.init(
         gin.config.input_dim, tune_cfg.mlp_hidden, [meta_cfg.seed, 32],
@@ -239,13 +252,17 @@ def meta_prompt(items, gin, head, meta_cfg=None, tune_cfg=None):
     )
     gin.set_trainable(False)
     head.set_trainable(False)
-    template.standardize_from(query_rows(items, gin))
-    objective, vec0, layout = prompt_objective(small, gin, head, template)
+    h, d_rows, u_rows = query_embeddings(items, gin)
+    template.standardize_from(h.data[np.concatenate([d_rows, u_rows])])
+    labels = np.array([it.y for it in items])
+    objective, vec0, layout = prompt_objective(
+        (h, d_rows[small], u_rows[small]), labels[small], gin, head, template)
     vec_meta, log = meta_initialize(objective, vec0, meta_cfg)
     pi_meta = template.copy()
     load_vector(pi_meta.named(), layout, vec_meta)
-    if large:
-        large_obj, _, _ = prompt_objective(large, gin, head, template)
+    if large.size:
+        large_obj, _, _ = prompt_objective(
+            (h, d_rows[large], u_rows[large]), labels[large], gin, head, template)
         vec_star = adapt(large_obj, vec_meta, meta_cfg.inner_lr, meta_cfg.adapt_steps)
     else:
         vec_star = vec_meta

@@ -183,7 +183,7 @@ class PromptItem:
     y: float
     multimer: str
     n: int
-    decision: tuple = None  # decision_key of the record; None outside training
+    decision: tuple  # decision_key of the record: tuning ranks items that share it
 
 
 def decision_key(inst):
@@ -306,13 +306,6 @@ def query_embeddings(items, gin):
     u_rows = np.array([first[cand] for _, cand in keys], dtype=np.intp)
     h = gin_encode(feats, edges, gin)
     return h, d_rows, u_rows
-
-
-def query_rows(items, gin):
-    """The (2B, d) eval-mode query rows, h_d of every item then h_u, as the
-    prompt's input whitening is fit on them."""
-    h, d_rows, u_rows = query_embeddings(items, gin)
-    return h.data[np.concatenate([d_rows, u_rows])]
 
 
 def pipeline_forward_batch(items, gin, head, prompt):

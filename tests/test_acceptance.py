@@ -50,6 +50,7 @@ from stepasm.prompt import (
     PromptTuneConfig,
     build_items,
     prompt_tune,
+    query_embeddings,
 )
 from stepasm.nn.tensor import Tensor
 from stepasm.training import TrainConfig
@@ -359,7 +360,8 @@ def test_criterion_maml_suite():
     gin = GINParams.init(GINConfig(dropout=0.0), 104)
     head = TaskHeadParams.init(DIM, 16, 105)
     template = PromptParams.init(DIM, 16, 106, dropout=0.0)
-    real, vec0, _ = prompt_objective(items, gin, head, template)
+    real, vec0, _ = prompt_objective(
+        query_embeddings(items, gin), [it.y for it in items], gin, head, template)
     all_idx = np.arange(real.n_examples)
     base = real.loss(vec0, all_idx)
     for alpha in (0.01, 1.0, 25.0):

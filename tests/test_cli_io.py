@@ -369,6 +369,68 @@ def test_cli_rejects_target_record_of_unknown_multimer(workflow, tmp_path, capsy
     assert err["message"].startswith("line 2: ")
 
 
+def _first_chains(record, k):
+    """The record cut down to its first k chains, joined by one contact."""
+    record["n"] = k
+    record["chains"] = record["chains"][:k]
+    record["gt"] = record["gt"][:k]
+    record["contacts"] = [[0, 1]] if k > 1 else []
+    record["dimers"] = {"0-1": record["dimers"]["0-1"]} if k > 1 else {}
+    return record
+
+
+@pytest.mark.parametrize("command", ["infer", "enumerate-oracle"])
+def test_cli_rejects_a_multimer_of_one_chain(workflow, tmp_path, capsys, command):
+    _, _, data, _, tuned = workflow
+    lines, i, _ = _first_record(data / "multimers.jsonl", 3)
+    argv = {"infer": ["infer", "--ckpt", str(tuned), "--out", str(tmp_path / "pred")],
+            "enumerate-oracle": ["enumerate-oracle"]}[command]
+
+    def run(k):
+        record = _first_chains(json.loads(lines[i]), k)
+        path = tmp_path / f"multimers-{k}.jsonl"
+        path.write_text("\n".join(lines[:i] + [json.dumps(record)]) + "\n")
+        return cli.main([*argv, "--multimers", str(path), "--name", record["name"]])
+
+    assert run(2) == 0  # two chains assemble as one dimer
+    capsys.readouterr()
+    assert run(1) == 2
+    err = _one_json_line(capsys.readouterr().err)
+    assert err["error"] == "MalformedRecordError"
+    assert err["message"].startswith(f"line {i + 1}: ") and "two chains" in err["message"]
+
+
+@pytest.mark.parametrize("label", [float("nan"), 7.5, -0.5], ids=["nan", "above", "below"])
+@pytest.mark.parametrize("command,bad_file", [
+    ("pretrain", "source.jsonl"),
+    ("prompt-tune", "target.jsonl"),
+])
+def test_cli_rejects_a_label_outside_the_unit_interval(workflow, tmp_path, capsys,
+                                                       command, bad_file, label):
+    _, cfg_path, data, pre, _ = workflow
+    bad = tmp_path / "data"
+    bad.mkdir()
+    for f in ("multimers.jsonl", "source.jsonl", "target.jsonl"):
+        (bad / f).write_bytes((data / f).read_bytes())
+    lines = (bad / bad_file).read_text().splitlines()
+    record = json.loads(lines[1])
+    record["y"] = label
+    lines[1] = json.dumps(record)  # json writes NaN, and reads it back
+    (bad / bad_file).write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out.npz"
+    argv = {
+        "pretrain": ["pretrain", "--config", str(cfg_path), "--data", str(bad),
+                     "--out", str(out)],
+        "prompt-tune": ["prompt-tune", "--config", str(cfg_path), "--data", str(bad),
+                        "--ckpt", str(pre), "--out", str(out)],
+    }[command]
+    assert cli.main(argv) == 2
+    err = _one_json_line(capsys.readouterr().err)
+    assert err["error"] == "MalformedRecordError"
+    assert err["message"].startswith("line 2: ") and "[0, 1]" in err["message"]
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def picked_lines():
     """Three 3-chain multimer records, named a, b and \u03b2 (written unescaped)."""
@@ -542,10 +604,11 @@ def test_partial_sections_fill_from_defaults():
     {"data": {"counts": {"4": "2"}}},
     {"data": {"counts": {"four": 2}}},
     {"meta": {"adapt_steps": -3}},
+    {"meta": {"first_order": False, "inner_steps": 2}},
 ], ids=["meta-epochs", "hidden-dim", "dropout", "heads", "val-fraction", "seed-type",
         "seed-negative", "epochs-type", "chain-count-high", "chain-count-low", "starts",
         "counts-empty", "count-fraction", "count-float", "count-bool", "count-string",
-        "chain-count-name", "adapt-steps-negative"])
+        "chain-count-name", "adapt-steps-negative", "second-order-inner-steps"])
 def test_cli_rejects_bad_config_values_at_load(tmp_path, capsys, config):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(config))

@@ -16,7 +16,7 @@ from stepasm import prompt
 from stepasm.datagen import gen_multimer_set, make_source_dataset, make_target_dataset
 from stepasm.nn.model import GINConfig, GINParams, TaskHeadParams, pack_graphs
 from stepasm.pretrain import source_graphs
-from stepasm.prompt import PromptParams, build_items, pipeline_forward_batch, query_rows
+from stepasm.prompt import PromptParams, build_items, pipeline_forward_batch
 
 PINS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
                     "encoder_input_pins.json")
@@ -63,7 +63,7 @@ def encoder_inputs():
 
     prompt.gin_encode = captured
     try:
-        _, d_rows, u_rows = prompt.query_embeddings(items, gin)
+        h, d_rows, u_rows = prompt.query_embeddings(items, gin)
     finally:
         prompt.gin_encode = encode
     (union_feats, union_edges), = encoded
@@ -73,7 +73,7 @@ def encoder_inputs():
     probs = {}
     for name, kw in (("single", {}), ("multi", {"heads": 4, "multi_head": True})):
         p = PromptParams.init(gin.config.input_dim, 32, 68, dropout=0.2, **kw)
-        p.standardize_from(query_rows(items, gin))
+        p.standardize_from(h.data[np.concatenate([d_rows, u_rows])])
         probs[name] = pipeline_forward_batch(items, gin, head, p).data.ravel().tolist()
     return json.loads(json.dumps(
         {"pretrain_batch": pretrain_batch, "query_union": union, "probs": probs}))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stepasm.datagen import gen_synthetic_multimer, make_target_dataset
-from stepasm.errors import InsufficientDataError
+from stepasm.errors import InsufficientDataError, ShapeMismatchError
 from stepasm.meta import (
     MetaConfig,
     VectorObjective,
@@ -21,6 +21,7 @@ from stepasm.prompt import (
     PromptTuneConfig,
     build_items,
     pipeline_forward_batch,
+    query_embeddings,
 )
 from stepasm.nn.tensor import bce_loss
 
@@ -170,7 +171,8 @@ def test_prompt_objective_matches_direct_loss(real):
     mdict, small, _, gin, head = real
     items = build_items(small[:12], mdict)
     template = PromptParams.init(DIM, 16, 60, dropout=0.0)
-    objective, vec0, layout = prompt_objective(items, gin, head, template)
+    objective, vec0, layout = prompt_objective(
+        query_embeddings(items, gin), [it.y for it in items], gin, head, template)
     idx = np.arange(6)
     got = objective.loss(vec0, idx)
     pred = pipeline_forward_batch([items[i] for i in idx], gin, head, template)
@@ -186,7 +188,8 @@ def test_prompt_objective_gradient_against_finite_differences(real):
     mdict, small, _, gin, head = real
     items = build_items(small[:6], mdict)
     template = PromptParams.init(DIM, 4, 61, dropout=0.0)
-    objective, vec0, _ = prompt_objective(items, gin, head, template)
+    objective, vec0, _ = prompt_objective(
+        query_embeddings(items, gin), [it.y for it in items], gin, head, template)
     idx = np.arange(len(items))
     analytic = objective.grad(vec0, idx)
     numeric = numeric_grad(lambda v: objective.loss(v, idx), vec0, eps=1e-5)
@@ -196,11 +199,35 @@ def test_prompt_objective_gradient_against_finite_differences(real):
     assert rel < 1e-5
 
 
+def test_prompt_objective_reads_its_table_as_constants(real):
+    mdict, small, _, gin, head = real
+    items = build_items(small[:6], mdict)
+    gin.set_trainable(True)
+    table = query_embeddings(items, gin)
+    assert table[0].requires_grad  # encoded while the encoder could learn
+    template = PromptParams.init(DIM, 4, 61, dropout=0.0)
+    objective, vec0, _ = prompt_objective(
+        table, [it.y for it in items], gin, head, template)
+    assert np.linalg.norm(objective.grad(vec0, np.arange(len(items)))) > 0.0
+    # the gradient stops at the table: no backward pass runs into its rows
+    assert table[0].grad is None
+
+
+def test_prompt_objective_rejects_labels_of_another_length(real):
+    mdict, small, _, gin, head = real
+    items = build_items(small[:6], mdict)
+    template = PromptParams.init(DIM, 4, 61, dropout=0.0)
+    with pytest.raises(ShapeMismatchError):
+        prompt_objective(query_embeddings(items, gin), [it.y for it in items[:5]],
+                         gin, head, template)
+
+
 def test_adaptation_never_increases_large_split_loss(real):
     mdict, _, large, gin, head = real
     items = build_items(large, mdict)
     template = PromptParams.init(DIM, 16, 62, dropout=0.0)
-    objective, vec0, _ = prompt_objective(items, gin, head, template)
+    objective, vec0, _ = prompt_objective(
+        query_embeddings(items, gin), [it.y for it in items], gin, head, template)
     all_idx = np.arange(objective.n_examples)
     base = objective.loss(vec0, all_idx)
     for alpha in (0.01, 1.0, 25.0):
@@ -224,6 +251,26 @@ def test_meta_prompt_freezes_encoder_and_head(real):
     assert params_hash(pi_meta.named()) != params_hash(pi_star.named())
     # both prompts share the whitening buffers fit before meta-training
     assert np.array_equal(pi_meta.in_shift.data, pi_star.in_shift.data)
+
+
+def test_meta_prompt_encodes_stage_one_once(real, monkeypatch):
+    import stepasm.prompt as prompt_mod
+
+    mdict, small, large, gin, head = real
+    items = build_items(small + large, mdict)
+    calls = []
+    encode = prompt_mod.gin_encode
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(prompt_mod, "gin_encode", counting)
+    meta_cfg = MetaConfig(epochs=2, pool_size=4, task_batch=2,
+                          support_size=8, query_size=8, seed=63)
+    meta_prompt(items, gin, head, meta_cfg, PromptTuneConfig(mlp_hidden=16, dropout=0.0))
+    # one table for the whitening, the small-scale and the large-scale objectives
+    assert len(calls) == 1
 
 
 def test_meta_prompt_without_large_items_skips_adaptation(real):
