@@ -23,7 +23,6 @@ from .graphs import (
     ChainStructure,
     DimerLibrary,
     Multimer,
-    assemble,
     assembly_correctness,
     best_assembly,
     enumerate_uca,
@@ -50,7 +49,6 @@ __all__ = [
     "RigidTransform",
     "ScoringPipeline",
     "aligned_rmsd",
-    "assemble",
     "assembly_correctness",
     "best_assembly",
     "cka_similarity",

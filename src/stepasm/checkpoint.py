@@ -70,18 +70,20 @@ def load_checkpoint(path):
     return components, meta
 
 
+def _expecting(shape):
+    """A tensor of ``shape`` for _fill to set: a view of one zero, allocating nothing."""
+    return Tensor(np.broadcast_to(0.0, shape), requires_grad=True)
+
+
 def _mlp(dims):
     """An MLPParams of the given widths, its arrays left for _fill to set."""
-    return MLPParams(
-        [Tensor(np.empty(shape), requires_grad=True) for shape in zip(dims[:-1], dims[1:])],
-        [Tensor(np.empty(width), requires_grad=True) for width in dims[1:]],
-    )
+    return MLPParams([_expecting(shape) for shape in zip(dims[:-1], dims[1:])],
+                     [_expecting((width,)) for width in dims[1:]])
 
 
 def _fill(named, arrays, tag):
     """Point each tensor at its stored array, as load_checkpoint returned it
-    (no copy is made); the tensor's shape is the one the architecture
-    expects."""
+    (no copy is made); the stored shape must be the tensor's."""
     for name, tensor in named.items():
         if name not in arrays:
             raise ConfigError(f"checkpoint missing {tag}/{name}")
@@ -91,6 +93,14 @@ def _fill(named, arrays, tag):
                 f"expected {tensor.data.shape}"
             )
         tensor.data = arrays[name]
+
+
+def _checked(path, what, settings, base):
+    """``base`` with ``settings`` replaced, typed and checked as in a run config."""
+    try:
+        return config_from_dict(settings, base)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {what}: {exc}") from None
 
 
 def save_models(path, gin, head, prompts=None, meta=None):
@@ -117,26 +127,28 @@ def save_models(path, gin, head, prompts=None, meta=None):
 def load_models(path):
     """Rebuild (gin, head, prompts, meta) from a save_models checkpoint.
 
-    Each prompt's settings must pass the checks of ``PromptTuneConfig``. The
-    parameters are the checkpoint's arrays themselves, one array each,
-    with the requires_grad flags a fresh ``init`` gives.
+    The encoder's and each prompt's settings must pass the checks of
+    ``GINConfig`` and ``PromptTuneConfig``. The parameters are the checkpoint's
+    arrays themselves, with the requires_grad flags a fresh ``init`` gives.
     """
     components, meta = load_checkpoint(path)
     try:
         arch = meta["arch"]
-        config = GINConfig(**arch["gin_config"])
-        gin = GINParams(config,
-                        [Tensor(np.empty(()), requires_grad=True) for _ in range(config.num_layers)],
+        config = _checked(path, "gin_config", arch["gin_config"], GINConfig())
+        stored = components["gin"]
+        if config.num_layers > len(stored):  # each layer stores arrays of its own
+            raise ConfigError(f"{path}: {config.num_layers} encoder layers, {len(stored)} arrays")
+        gin = GINParams(config, [_expecting(()) for _ in range(config.num_layers)],
                         [_mlp(dims) for dims in config.layer_dims()])
-        _fill(gin.named(), components["gin"], "gin")
+        _fill(gin.named(), stored, "gin")
         head = TaskHeadParams(_mlp((config.input_dim, arch["head_hidden"], 1)))
         _fill(head.named(), components["head"], "head")
         prompts = {}
         for tag, pcfg in arch["prompts"].items():
-            try:  # the types and values a run config's prompt settings may take
-                config_from_dict(pcfg, PromptTuneConfig())
-            except ConfigError as exc:
-                raise ConfigError(f"{path}: prompt {tag!r}: {exc}") from None
+            _checked(path, f"prompt {tag!r}", pcfg, PromptTuneConfig())
+            if pcfg["heads"] > config.input_dim:  # the heads split the input dimensions
+                raise ConfigError(f"{path}: prompt {tag!r}: {pcfg['heads']} heads for "
+                                  f"{config.input_dim} input dimensions")
             hidden = pcfg["mlp_hidden"]
             prompt = PromptParams(
                 _mlp((config.input_dim, hidden, hidden, config.input_dim)),

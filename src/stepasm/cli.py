@@ -164,12 +164,13 @@ def cmd_infer(args):
     small_pipe = ScoringPipeline(gin, head, small)
     # one prompt, one pipeline: what it keeps carries past the switch at 7 chains
     large_pipe = small_pipe if large is small else ScoringPipeline(gin, head, large)
+    # everything that can fail on the input comes before the first write
     path = infer_path(m.chain_features, small_pipe, large_pipe, dimers=m.dimers)
     coords = predict_structure(m.chains, m.dimers, path)
-    atomic_write_text(args.out + ".path.txt", path.to_text())
     predicted = [
         ChainStructure(c.chain_id, c.sequence, x) for c, x in zip(m.chains, coords)
     ]
+    atomic_write_text(args.out + ".path.txt", path.to_text())
     write_chain_file(args.out + ".structure.txt", predicted)
     _write_json(args.out + ".report.json", {
         **_stamp(cfg),

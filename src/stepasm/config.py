@@ -7,6 +7,7 @@ import numbers
 from dataclasses import dataclass, field
 
 from .datagen import CHAIN_COUNT_RANGE
+from .embeddings import EMBED_DIM
 from .errors import ConfigError
 from .meta import MetaConfig, MetaStageConfig
 from .nn.model import GINConfig
@@ -69,6 +70,8 @@ class RunConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.prompt.heads > EMBED_DIM:  # the heads split the chain-embedding dimensions
+            raise ValueError(f"prompt.heads must be at most {EMBED_DIM}, got {self.prompt.heads}")
         # the library configs check their own values; building them here makes
         # a value they reject fail when the run config loads, not mid-run
         self.pretrain_config()

@@ -389,6 +389,9 @@ def multimer_from_dict(d):
     # inference and the oracle assemble at least one dimer
     if len(chains) < 2:
         raise ValueError(f"a multimer needs at least two chains, got {len(chains)}")
+    ids = [c.chain_id for c in chains]
+    if len(set(ids)) < len(ids):  # a chain file names each chain once
+        raise ValueError(f"chain ids repeat: {ids}")
     dimers = DimerLibrary()
     for key, (xa, xb) in d["dimers"].items():
         a, b = key.split("-")
@@ -435,21 +438,18 @@ def _records(path):
                 yield lineno, line
 
 
-def _load_records(path, convert):
-    """``convert(record)`` for each JSON line of ``path``. A line that is not
-    UTF-8 JSON, or whose record ``convert`` rejects, raises
-    MalformedRecordError with its line number."""
-    return [_converted(convert, _decoded(line, lineno), lineno)
-            for lineno, line in _records(path)]
-
-
 def save_multimers(path, multimers, seeds=None):
     seeds = seeds or {}
     save_jsonl(path, (multimer_to_dict(m, seeds.get(m.name)) for m in multimers))
 
 
 def load_multimers(path):
-    return {m.name: m for m in _load_records(path, multimer_from_dict)}
+    multimers = {}
+    for lineno, line in _records(path):
+        m = _converted(multimer_from_dict, _decoded(line, lineno), lineno)
+        if multimers.setdefault(m.name, m) is not m:
+            raise MalformedRecordError(f"multimer name {m.name!r} repeated", lineno)
+    return multimers
 
 
 def _has_name(record, name):
@@ -457,10 +457,10 @@ def _has_name(record, name):
 
 
 def _search_named(path, name):
-    """The multimer named ``name`` on the first line of ``path`` that holds
+    """The multimer named ``name`` on the line of ``path`` that holds
     ``"name": `` followed by ``json.dumps(name)``, as ``save_multimers``
-    writes it, and whose record bears that name; None when no such line is
-    the record.
+    writes it, and whose record bears that name (there must be one at most);
+    None when no such line is the record.
 
     The file is mapped and searched as bytes, and only the lines that hold
     the search string are decoded. The line number of a record is counted
@@ -470,6 +470,7 @@ def _search_named(path, name):
     # checked before opening, which would block on a named pipe
     if not stat.S_ISREG(os.stat(path).st_mode):
         raise ConfigError(f"{path}: not a regular file")
+    found = None
     with open(path, "rb") as fh:
         if os.fstat(fh.fileno()).st_size == 0:  # mmap cannot map an empty file
             return None
@@ -482,26 +483,27 @@ def _search_named(path, name):
                 try:
                     record = _decoded(buf[start:end])
                     if _has_name(record, name):
-                        return _converted(multimer_from_dict, record)
+                        if found is not None:
+                            raise MalformedRecordError(f"multimer name {name!r} repeated")
+                        found = _converted(multimer_from_dict, record)
                 except MalformedRecordError as exc:
                     raise MalformedRecordError(
                         str(exc), buf[:start].count(b"\n") + 1) from None
                 hit = buf.find(needle, end)
-    return None
+    return found
 
 
 def load_multimer(path, name=None):
     """The multimer named ``name`` in a multimers file, its first record when
     ``name`` is None, or None when there is no such record.
 
-    Reading stops at that record, and only it is validated: a malformed
-    record, or a line that is not UTF-8, elsewhere in the file is not read.
-    A named record is found by a byte search of the mapped file for the name
-    as ``save_multimers`` writes it (``_search_named``), so only the lines
-    that hold it are decoded. When none of them is the record, every line
-    that is UTF-8 JSON is decoded before giving up, so a file written with
-    other spacing or escaping is still searched. ``path`` must be a regular
-    file when ``name`` is given.
+    Only that record is validated: a malformed record, or a line that is not
+    UTF-8, elsewhere in the file is not read. A named record, the only one of
+    its name, is found by a byte search of the mapped file for the name as
+    ``save_multimers`` writes it (``_search_named``): only the lines that hold
+    it are decoded. When none is the record, every UTF-8 JSON line is decoded,
+    so a file written with other spacing or escaping is still searched.
+    ``path`` must be a regular file when ``name`` is given.
     """
     if name is None:
         for lineno, line in _records(path):
@@ -516,8 +518,10 @@ def load_multimer(path, name=None):
         except MalformedRecordError:
             continue
         if _has_name(record, name):
-            return _converted(multimer_from_dict, record, lineno)
-    return None
+            if found is not None:
+                raise MalformedRecordError(f"multimer name {name!r} repeated", lineno)
+            found = _converted(multimer_from_dict, record, lineno)
+    return found
 
 
 def _load_dataset(path, multimers, make):
@@ -533,7 +537,8 @@ def _load_dataset(path, multimers, make):
             raise ValueError(f"label y must lie in [0, 1], got {inst.y}")
         return inst
 
-    instances = _load_records(path, convert)
+    instances = [_converted(convert, _decoded(line, lineno), lineno)
+                 for lineno, line in _records(path)]
     if not instances:
         raise EmptyDatasetError(f"no records in {path}")
     return instances

@@ -374,11 +374,6 @@ def _compose(edge_sequence, dimers, steps):
     return poses
 
 
-def _placed(pose):
-    copy, _, rotation, translation = pose
-    return copy @ rotation.T + translation
-
-
 def place_chains(edge_sequence, dimers):
     """Place chains along an edge sequence where each edge extends placed ones.
 
@@ -387,11 +382,13 @@ def place_chains(edge_sequence, dimers):
     dimer onto the already-placed d, and maps u through that transform.
     Returns {chain index: coordinates}.
     """
-    return {v: _placed(pose) for v, pose in _compose(edge_sequence, dimers, {}).items()}
+    poses = _compose(edge_sequence, dimers, {})
+    return {v: copy @ rotation.T + translation
+            for v, (copy, _, rotation, translation) in poses.items()}
 
 
 class Oracle:
-    """Assembly and correctness of trees over one multimer, for one labelling call.
+    """Correctness of trees over one multimer, for one labelling call.
 
     Keeps each Kabsch fit its placements compute (see ``_compose``), so scoring
     every tree of an N-chain complex fits at most N(N-1)(N-2) of them, and the
@@ -411,11 +408,6 @@ class Oracle:
             only = nodes[0]
             return {only: (self.multimer.chains[only].coords, None, _EYE, _ORIGIN)}
         return _compose(_traversal_order(nodes, edges), self.multimer.dimers, self._steps)
-
-    def assemble(self, graph):
-        """Coordinates of every chain in ``graph.nodes``, in that order."""
-        poses = self._poses((graph.nodes, graph.edges))
-        return [_placed(poses[v]) for v in graph.nodes]
 
     def scores(self, trees):
         """``assembly_correctness`` of each tree, in order.
@@ -460,15 +452,6 @@ class Oracle:
                         )
                 self._scores.update(zip(batch, tm_scores(preds, gt).tolist()))
         return [self._scores[tree] for tree in trees]
-
-
-def assemble(graph, multimer):
-    """Coordinates of every chain in ``graph.nodes`` after walking the tree.
-
-    Output frame is the first-placed dimer's frame; compare via superposition.
-    A pair with no stored dimer raises MissingDimerError from the library.
-    """
-    return Oracle(multimer).assemble(graph)
 
 
 def assembly_correctness(graph, multimer):

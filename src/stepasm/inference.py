@@ -1,14 +1,13 @@
 """Greedy docking-path inference, structure reconstruction, and evaluation.
 
-Inference runs N-1 steps. The first step scores every ordered chain pair
-(d, u) under a singleton condition graph {d}; each later step, with k chains
-docked, scores all k(N-k) docked/undocked pairs against the current partial
-assembly and appends the argmax action. While the assembly (after the action)
-still has at most 7 chains the meta-initialized prompt scores the candidates;
-beyond that the large-scale-adapted prompt takes over.
+Inference runs N-1 steps by one rule: score every (d, u) with d in the
+condition and u undocked in one call, and append the argmax action. The
+condition is the docked tree; before the first action it is the edgeless
+graph over all N chains, in which each chain encodes exactly as its
+singleton {d}. While the assembly (after the action) still has at most 7
+chains the meta-initialized prompt scores the candidates; beyond that the
+large-scale-adapted prompt takes over.
 
-The first step is one scoring call: its condition is the edgeless graph over
-all N chains, in which each chain encodes exactly as in its singleton {d}.
 Every step encodes the condition graph and each undocked chain. A step's new
 edge moves only the rows of the docked chains within the encoder's reach of
 it, and ScoringPipeline runs the prompt MLP and stage 2 only where a row
@@ -126,23 +125,17 @@ def infer_path(chain_features, small_pipeline, large_pipeline=None, dimers=None)
     while len(actions) < n - 1:
         post_size = 2 if not docked else len(docked) + 1
         pipe = small_pipeline if post_size <= SMALL_ASSEMBLY_MAX else large_pipeline
+        condition = docked or list(range(n))  # the edgeless graph before the first action
+        undocked = [u for u in range(n) if u not in docked]
+        pairs = [(d, u) for d in condition for u in undocked if u != d]
+        scores = pipe.score_actions(chain_features, tuple(condition), tuple(edges), pairs)
         if not docked:
-            # first action: every ordered pair (d, u) under its singleton {d}; the
-            # edgeless graph over all chains encodes each chain as its singleton
-            pairs = [(d, u) for d in range(n) for u in range(n) if u != d]
-            scores = pipe.score_actions(chain_features, tuple(range(n)), (), pairs)
             # (d, u) and (u, d) score the same 4-node path reversed, equal up to
             # rounding; scoring both the same lets the tie-break pick (min, max)
             index = {pair: i for i, pair in enumerate(pairs)}
             scores = np.maximum(scores, scores[[index[u, d] for d, u in pairs]])
-            (d, u), p, margin, fell_back = _pick(pairs, scores, dimers)
-            docked = [d, u] if d < u else [u, d]
-        else:
-            undocked = [u for u in range(n) if u not in docked]
-            pairs = [(d, u) for d in sorted(docked) for u in undocked]
-            scores = pipe.score_actions(chain_features, tuple(docked), tuple(edges), pairs)
-            (d, u), p, margin, fell_back = _pick(pairs, scores, dimers)
-            docked = sorted(docked + [u])
+        (d, u), p, margin, fell_back = _pick(pairs, scores, dimers)
+        docked = sorted({*docked, d, u})
         edges.append((d, u) if d < u else (u, d))
         actions.append((d, u))
         probs.append(p)
@@ -167,6 +160,10 @@ def predict_structure(chains, dimers, path):
             f"path covers {path.n} chains, input has {len(chains)}"
         )
     placed = place_chains(path.actions, dimers)
+    for i, chain in enumerate(chains):
+        if len(placed[i]) != len(chain):
+            raise LengthMismatchError(
+                f"chain {chain.chain_id}: {len(placed[i])} placed points, {len(chain)} residues")
     return [placed[i] for i in range(len(chains))]
 
 

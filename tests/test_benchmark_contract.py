@@ -1,18 +1,22 @@
 """The names the benchmark under perfbench/ imports, patches and reads exist,
-and every workload runs clean.
+every import kept only for it is one it patches, and every workload runs
+clean.
 
 perfbench/test_smoke.py runs the workloads but sits outside the tier-1 test
 paths; this test fails in tier-1 when a refactor drops a name the benchmark
-needs. It only reads perfbench/.
+needs. It writes nothing under perfbench/.
 """
 
+import glob
 import importlib
 import os
+import re
 
 import pytest
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                         "perfbench")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+SHIM = "# not called here; kept because perfbench/spans.py patches this name"
 
 
 def test_benchmark_imports_patches_and_reads_the_program(monkeypatch):
@@ -31,6 +35,42 @@ def test_benchmark_imports_patches_and_reads_the_program(monkeypatch):
     assert graphs.kabsch_align is original
     assert kernels.HAVE_NUMBA is False
     assert kernels.active_backend() == "numpy"
+
+
+def _shims():
+    """(module, name) of each import src/stepasm marks as kept for the
+    benchmark's tracer to patch: the line after the SHIM comment."""
+    found = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "stepasm", "*.py"))):
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        for marker, line in zip(lines, lines[1:]):
+            if marker.strip() == SHIM:
+                imported = re.fullmatch(r"from \.\w+ import (\w+)  # noqa: F401", line)
+                assert imported, f"{path}: {line!r} after the shim comment"
+                module = os.path.splitext(os.path.basename(path))[0]
+                found.append((f"stepasm.{module}", imported.group(1)))
+    return found
+
+
+def test_every_kept_import_is_one_the_tracer_patches(monkeypatch):
+    """An import kept only for the tracer goes once the tracer stops patching
+    it; this fails as soon as that happens, so the import is not forgotten."""
+    shims = _shims()
+    assert sorted(shims) == [("stepasm.datagen", "assembly_correctness"),
+                             ("stepasm.graphs", "tm_score"),
+                             ("stepasm.inference", "pipeline_forward_batch"),
+                             ("stepasm.meta", "pipeline_forward_batch")]
+    monkeypatch.syspath_prepend(PERFBENCH)
+    modules = {module: importlib.import_module(module) for module, _ in shims}
+    before = {shim: getattr(modules[shim[0]], shim[1]) for shim in shims}
+    tracer = importlib.import_module("spans").Tracer()
+    try:
+        tracer.install()
+        unpatched = [shim for shim in shims if getattr(modules[shim[0]], shim[1]) is before[shim]]
+    finally:
+        tracer.uninstall()
+    assert unpatched == []
 
 
 @pytest.mark.parametrize("name", ["label", "train", "infer"])

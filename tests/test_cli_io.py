@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import os
+import re
 import threading
 
 import numpy as np
@@ -18,11 +19,17 @@ from stepasm.config import (
     config_hash,
     load_config,
 )
-from stepasm.datagen import gen_synthetic_multimer, load_multimers, multimer_to_dict
+from stepasm.datagen import (
+    gen_synthetic_multimer,
+    load_multimer,
+    load_multimers,
+    multimer_to_dict,
+)
 from stepasm.errors import (
     ConfigError,
     EmptyFileError,
     MalformedRecordError,
+    ShapeMismatchError,
     ShortChainWarning,
 )
 from stepasm.graphs import ChainStructure
@@ -138,6 +145,79 @@ def test_infer_writes_path_structure_and_report(workflow, tmp_path):
     assert path_text.count("\n") == 4  # header + one line per action
     chains = parse_chain_coords(str(out) + ".structure.txt")
     assert [c.chain_id for c in chains] == [c.chain_id for c in multimers[name].chains]
+
+
+def _infer_outputs(prefix):
+    return [p for p in (f"{prefix}.path.txt", f"{prefix}.structure.txt",
+                        f"{prefix}.report.json") if os.path.exists(p)]
+
+
+def test_eval_reads_back_the_structure_infer_writes(workflow, tmp_path, capsys):
+    _, _, data, _, tuned = workflow
+    for name, m in load_multimers(data / "multimers.jsonl").items():
+        out = tmp_path / name
+        assert cli.main(["infer", "--multimers", str(data / "multimers.jsonl"),
+                         "--name", name, "--ckpt", str(tuned), "--out", str(out)]) == 0
+        gt = tmp_path / f"{name}.gt.txt"
+        write_chain_file(gt, [ChainStructure(c.chain_id, c.sequence, g)
+                              for c, g in zip(m.chains, m.gt_coords)])
+        report = tmp_path / f"{name}.eval.json"
+        assert cli.main(["eval", "--pred", f"{out}.structure.txt", "--gt", str(gt),
+                         "--out", str(report)]) == 0
+        assert 0.0 < json.loads(report.read_text())["tm_mean"] <= 1.0 + 1e-9
+    capsys.readouterr()
+
+
+def _short_copies_of_chain_0(record):
+    """Chain 0's copy in each of its dimers cut to its first 20 points."""
+    for key, pair in record["dimers"].items():
+        a, b = (int(v) for v in key.split("-"))
+        if 0 in (a, b):
+            pair[(a, b).index(0)] = pair[(a, b).index(0)][:20]
+
+
+def _repeated_chain_id(record):
+    record["chains"][1]["id"] = record["chains"][0]["id"]
+
+
+@pytest.mark.parametrize("mutate,error,message", [
+    (_short_copies_of_chain_0, "LengthMismatchError", "chain 0: 20 placed points"),
+    (_repeated_chain_id, "MalformedRecordError", "line 1: .*chain ids repeat: \\['0', '0', '2', '3'\\]"),
+], ids=["short-dimer-copies", "repeated-chain-id"])
+def test_infer_refuses_a_record_before_writing_anything(workflow, tmp_path, capsys,
+                                                       mutate, error, message):
+    _, _, data, _, tuned = workflow
+    _, _, record = _first_record(data / "multimers.jsonl", 4)
+    mutate(record)
+    path = tmp_path / "multimers.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    prefix = tmp_path / "pred"
+    code = cli.main(["infer", "--multimers", str(path), "--ckpt", str(tuned),
+                     "--out", str(prefix)])
+    assert code == 2
+    err = _one_json_line(capsys.readouterr().err)
+    assert err["error"] == error and re.search(message, err["message"]), err
+    assert _infer_outputs(prefix) == []
+
+
+@pytest.mark.parametrize("spacing", [{}, {"separators": (",", ":")}],
+                         ids=["as-written", "other-spacing"])
+def test_a_repeated_multimer_name_is_refused_with_its_line(tmp_path, capsys, spacing):
+    records = [multimer_to_dict(gen_synthetic_multimer(n, 160 + n, name="same"))
+               for n in (3, 4)]
+    path = tmp_path / "multimers.jsonl"
+    path.write_text("".join(json.dumps(r, sort_keys=True, **spacing) + "\n"
+                            for r in records))
+    for load in (load_multimers, lambda p: load_multimer(p, "same")):
+        with pytest.raises(MalformedRecordError, match="^line 2: multimer name 'same' repeated"):
+            load(path)
+    prefix = tmp_path / "pred"
+    code = cli.main(["infer", "--multimers", str(path), "--name", "same",
+                     "--ckpt", str(tmp_path / "unread.npz"), "--out", str(prefix)])
+    assert code == 2
+    err = _one_json_line(capsys.readouterr().err)
+    assert err["error"] == "MalformedRecordError" and err["message"].startswith("line 2: ")
+    assert _infer_outputs(prefix) == []
 
 
 @pytest.fixture(scope="module")
@@ -605,10 +685,12 @@ def test_partial_sections_fill_from_defaults():
     {"data": {"counts": {"four": 2}}},
     {"meta": {"adapt_steps": -3}},
     {"meta": {"first_order": False, "inner_steps": 2}},
+    {"prompt": {"heads": 14}},
 ], ids=["meta-epochs", "hidden-dim", "dropout", "heads", "val-fraction", "seed-type",
         "seed-negative", "epochs-type", "chain-count-high", "chain-count-low", "starts",
         "counts-empty", "count-fraction", "count-float", "count-bool", "count-string",
-        "chain-count-name", "adapt-steps-negative", "second-order-inner-steps"])
+        "chain-count-name", "adapt-steps-negative", "second-order-inner-steps",
+        "heads-above-embedding-width"])
 def test_cli_rejects_bad_config_values_at_load(tmp_path, capsys, config):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(config))
@@ -841,6 +923,42 @@ def test_checkpoint_rejects_prompt_settings_tuning_rejects(workflow, tmp_path, c
     assert code == 2
     assert _one_json_line(capsys.readouterr().err)["error"] == "ConfigError"
     assert not (tmp_path / "pred.report.json").exists()
+
+
+@pytest.mark.parametrize("key, value, error", [
+    ("num_layers", True, ConfigError),
+    ("dropout", False, ConfigError),
+    ("hidden_dim", 10**12, ConfigError),
+    ("num_layers", 10**12, ConfigError),
+    ("head_hidden", 10**12, ShapeMismatchError),
+    ("mlp_hidden", 10**12, ConfigError),
+    ("heads", 10**12, ConfigError),
+], ids=["layers-bool", "dropout-bool", "hidden-huge", "layers-huge", "head-hidden-huge",
+        "prompt-hidden-huge", "heads-huge"])
+def test_checkpoint_architecture_is_checked_like_a_config(workflow, tmp_path, capsys,
+                                                          key, value, error):
+    """Typed as a run config types it, and compared with the stored shapes
+    before anything is allocated at the sizes it names."""
+    _, _, data, _, tuned = workflow
+    comps, meta = load_checkpoint(tuned)
+    arrays = {f"{t}/{n}": a for t, named in comps.items() for n, a in named.items()}
+    arch = meta["arch"]
+    if key == "head_hidden":
+        arch[key] = value
+    elif key in arch["gin_config"]:
+        arch["gin_config"][key] = value
+    else:
+        arch["prompts"]["prompt"].update({key: value, "multi_head": True})
+    path = tmp_path / "m.npz"
+    np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
+    with pytest.raises(error):
+        load_models(path)
+    prefix = tmp_path / "pred"
+    code = cli.main(["infer", "--multimers", str(data / "multimers.jsonl"),
+                     "--ckpt", str(path), "--out", str(prefix)])
+    assert code == 2
+    assert _one_json_line(capsys.readouterr().err)["error"] == error.__name__
+    assert _infer_outputs(prefix) == []
 
 
 def test_checkpoint_missing_parameter_rejected(tmp_path):

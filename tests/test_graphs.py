@@ -16,7 +16,6 @@ from stepasm.errors import (
 from stepasm.graphs import (
     AssemblyGraph,
     DimerLibrary,
-    assemble,
     assembly_correctness,
     best_assembly,
     canonical_edges,
@@ -129,18 +128,10 @@ def test_best_assembly_is_contact_tree():
 
 def test_assemble_requires_all_dimers():
     m = gen_synthetic_multimer(3, seed=5)
-    g = m.graph_over(((0, 1), (1, 2)))
     lib = DimerLibrary()
     lib.add(0, 1, *m.dimers.get(0, 1))
-    broken = type(m)(
-        name="broken",
-        chains=m.chains,
-        gt_coords=m.gt_coords,
-        dimers=lib,
-        contact_edges=m.contact_edges,
-    )
     with pytest.raises(MissingDimerError):
-        assemble(g, broken)
+        place_chains(((0, 1), (1, 2)), lib)
 
 
 def test_subgraph_features_align_with_nodes():

@@ -7,11 +7,11 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from stepasm import cli
-from stepasm.chainio import MIN_CHAIN_LEN, write_chain_file
+from stepasm.chainio import MIN_CHAIN_LEN, parse_chain_coords, write_chain_file
 from stepasm.datagen import (
     gen_synthetic_multimer,
     multimer_from_dict,
@@ -403,6 +403,122 @@ def test_truncated_checkpoint_exits_cleanly(infer_inputs, tmp_path_factory, caps
     ckpt.write_bytes(blob[: cut % len(blob)])
     _assert_clean_exit(["infer", "--multimers", str(root / "multimers.jsonl"),
                         "--ckpt", str(ckpt), "--out", str(ckpt.parent / "pred")], capsys)
+
+
+# the metadata save_models writes for the checkpoint of ``meta_inputs``
+TINY_META = {
+    "format_version": 1,
+    "arch": {
+        "gin_config": {"input_dim": 13, "hidden_dim": 4, "num_layers": 2, "dropout": 0.0},
+        "head_hidden": 4,
+        "prompts": {
+            "prompt_meta": {"mlp_hidden": 4, "heads": 2, "multi_head": True, "dropout": 0.2},
+            "prompt_star": {"mlp_hidden": 4, "heads": 4, "multi_head": False, "dropout": 0.2},
+        },
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def meta_inputs(tmp_path_factory):
+    """A 3-chain multimers file and the arrays of a tiny checkpoint with a
+    multi-head and a single-head prompt, whose metadata is TINY_META."""
+    from stepasm.checkpoint import load_checkpoint, save_models
+    from stepasm.nn.model import GINConfig, GINParams, TaskHeadParams
+    from stepasm.prompt import PromptParams
+
+    root = tmp_path_factory.mktemp("meta")
+    save_multimers(root / "multimers.jsonl",
+                   [gen_synthetic_multimer(3, np.random.default_rng(127), name="m3")])
+    gin = GINParams.init(GINConfig(hidden_dim=4, dropout=0.0), 128)
+    head = TaskHeadParams.init(13, 4, 129)
+    prompts = {"prompt_meta": PromptParams.init(13, 4, 130, heads=2, multi_head=True),
+               "prompt_star": PromptParams.init(13, 4, 131)}
+    save_models(root / "model.npz", gin, head, prompts=prompts)
+    components, meta = load_checkpoint(root / "model.npz")
+    assert meta == TINY_META
+    return root, {f"{t}/{n}": a for t, named in components.items() for n, a in named.items()}
+
+
+DEEP = "__deep__"
+META_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 60), st.floats(), st.text(max_size=4),
+    st.sampled_from([10**12, -10**12, 2**63, 10**30, DEEP]),
+    st.lists(st.integers(-3, 9), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+
+def _key_paths(value, path=()):
+    """The path of each key of ``value``'s nested mappings."""
+    if isinstance(value, dict):
+        for key, inner in value.items():
+            yield path + (key,)
+            yield from _key_paths(inner, path + (key,))
+
+
+def _meta_text(meta):
+    return json.dumps(meta).replace(json.dumps(DEEP), "[" * 50_000 + "]" * 50_000)
+
+
+def _with(path, value):
+    """TINY_META's JSON text with the value at ``path`` replaced."""
+    out = json.loads(json.dumps(TINY_META))
+    *parents, key = path
+    owner = out
+    for k in parents:
+        owner = owner[k]
+    owner[key] = value
+    return _meta_text(out)
+
+
+@st.composite
+def meta_mutations(draw):
+    """TINY_META's JSON text with one to three keys dropped or given another
+    value: another JSON type, a bool, NaN or an infinity, a huge integer, or
+    nesting deeper than the stack."""
+    out = json.loads(json.dumps(TINY_META))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_key_paths(out))
+        if not paths:
+            break
+        *parents, key = draw(st.sampled_from(paths))
+        owner = out
+        for k in parents:
+            owner = owner[k]
+        if draw(st.booleans()):
+            del owner[key]
+        else:
+            owner[key] = draw(META_VALUES)
+    return _meta_text(out)
+
+
+@given(text=meta_mutations())
+@example(text=_with(("arch", "gin_config", "hidden_dim"), 10**12))
+@example(text=_with(("arch", "gin_config", "dropout"), False))
+@example(text=_with(("arch", "prompts", "prompt_meta", "heads"), 10**12))
+@example(text=_with(("arch", "head_hidden"), DEEP))
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_checkpoint_metadata_exits_cleanly(meta_inputs, tmp_path_factory, capsys,
+                                                   text):
+    root, arrays = meta_inputs
+    work = tmp_path_factory.mktemp("ckpt")
+    ckpt = work / "model.npz"
+    np.savez(ckpt, __meta__=np.array(text), **arrays)
+    code = cli.main(["infer", "--multimers", str(root / "multimers.jsonl"),
+                     "--ckpt", str(ckpt), "--out", str(work / "pred")])
+    captured = capsys.readouterr()
+    outputs = [work / f"pred.{kind}" for kind in ("path.txt", "structure.txt", "report.json")]
+    assert code in (0, 2)
+    if code == 2:
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "message"}
+        assert not any(p.exists() for p in outputs)
+    else:
+        report = json.loads(outputs[2].read_text())
+        assert np.isfinite(report["probs"]).all()
+        assert all(m is None or np.isfinite(m) for m in report["margins"])
+        assert all(np.isfinite(c.coords).all() for c in parse_chain_coords(outputs[1]))
 
 
 def textbook_adam(params, grads, lr):
