@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 from .datagen import CHAIN_COUNT_RANGE
@@ -103,10 +104,13 @@ class RunConfig:
 
 
 def _check_type(f, value, where):
-    """JSON value against a field's annotation; an int is a valid float."""
+    """JSON value against a field's annotation; an int is a valid float if a
+    float can hold it."""
     expected = (int, float) if f.type is float else f.type
     if not isinstance(value, expected) or isinstance(value, bool) and f.type is not bool:
         raise ConfigError(f"{where}.{f.name}: expected {f.type.__name__}, got {value!r}")
+    if f.type is float and isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ConfigError(f"{where}.{f.name}: an integer beyond the float range")
 
 
 def _from_dict(base, data, path):
@@ -145,11 +149,15 @@ def config_to_dict(cfg):
 
 
 def load_config(path):
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ConfigError(f"{path}: not valid JSON ({exc})") from None
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        data = json.loads(raw.decode("utf-8"))
+    # the ValueErrors: bytes that are not UTF-8, bad JSON, and an integer of
+    # more digits than Python converts; RecursionError: nesting deeper than
+    # the stack
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     return config_from_dict(data)
 
 

@@ -389,8 +389,13 @@ def multimer_from_dict(d):
     # inference and the oracle assemble at least one dimer
     if len(chains) < 2:
         raise ValueError(f"a multimer needs at least two chains, got {len(chains)}")
-    ids = [c.chain_id for c in chains]
-    if len(set(ids)) < len(ids):  # a chain file names each chain once
+    # a chain file names each chain once, on a line of its own, and reads
+    # its id back stripped: the ids compare as that file gives them
+    ids = [str(c.chain_id).strip() for c in chains]
+    for c, ident in zip(chains, ids):
+        if not ident or "\n" in ident or "\r" in ident:
+            raise ValueError(f"chain id {c.chain_id!r} is empty or spans lines")
+    if len(set(ids)) < len(ids):
         raise ValueError(f"chain ids repeat: {ids}")
     dimers = DimerLibrary()
     for key, (xa, xb) in d["dimers"].items():

@@ -13,19 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..embeddings import EMBED_DIM
-from ..errors import ShapeMismatchError
+from ..errors import ConfigError, ShapeMismatchError
 from .tensor import (
     Tensor,
     add,
     as_tensor,
     block_sum,
     dropout,
-    gather_rows,
     matmul,
     mul,
     relu,
-    segment_sum,
     sigmoid,
+    slot_sum,
 )
 
 
@@ -61,9 +60,14 @@ class GINConfig:
 def _init_linear(rng, fan_in, fan_out):
     # fan-in scaled uniform, weights and biases alike
     bound = 1.0 / np.sqrt(fan_in)
-    w = Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)), requires_grad=True)
-    b = Tensor(rng.uniform(-bound, bound, size=(fan_out,)), requires_grad=True)
-    return w, b
+    try:
+        w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+        b = rng.uniform(-bound, bound, size=(fan_out,))
+    # widths come from a run config; numpy refuses a size it cannot index
+    # with a ValueError
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"a {fan_in} x {fan_out} layer cannot be allocated: {exc}") from None
+    return Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
 
 
 class MLPParams:
@@ -173,13 +177,54 @@ class TaskHeadParams:
         self.mlp.set_trainable(flag)
 
 
-def _directed_edges(edges):
-    """Both directions of each undirected edge, sorted by (dst, src)."""
+def _slot_table(rows, cols, num_cols, pad):
+    """(depth, num_cols) table for slot_sum: column c lists, in their given
+    order, the rows[k] with cols[k] == c, padded with ``pad``. cols must be
+    sorted, so that each column's entries keep their order."""
+    counts = np.bincount(cols, minlength=num_cols)
+    table = np.full((counts.max(initial=0), num_cols), pad, dtype=np.intp)
+    first = np.cumsum(counts) - counts
+    table[np.arange(cols.size) - first[cols], cols] = rows
+    return table
+
+
+def neighbour_slots(edges, num_nodes):
+    """(max degree, num_nodes) neighbour table of a graph: column i lists
+    node i's neighbours in ascending order, a repeated edge or a self-loop
+    once per direction, padded with num_nodes, the index of the zero row
+    slot_sum appends. ``edges`` holds each undirected edge once."""
     ends = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
-    src = np.concatenate([ends[:, 0], ends[:, 1]])
-    dst = np.concatenate([ends[:, 1], ends[:, 0]])
-    order = np.lexsort((src, dst))
-    return src[order], dst[order]
+    if not ends.size:
+        return np.empty((0, num_nodes), dtype=np.intp)
+    if ends.min() < 0 or ends.max() >= num_nodes:
+        raise ShapeMismatchError("edge index out of range")
+    # both directions of each edge, keyed dst * num_nodes + src and sorted
+    keys = np.sort(np.concatenate([ends[:, 1] * num_nodes + ends[:, 0],
+                                   ends[:, 0] * num_nodes + ends[:, 1]]))
+    dst, src = np.divmod(keys, num_nodes)
+    return _slot_table(src, dst, num_nodes, num_nodes)
+
+
+def readout_slots(segment_ids, num_graphs):
+    """slot_sum tables of the sum readout: (members, back). Column s of
+    members lists the rows tagged s in ascending order, padded with the row
+    count; back is the one slot of the transpose, each row's own tag."""
+    seg = np.asarray(segment_ids, dtype=np.intp)
+    if seg.size and not 0 <= seg.min() <= seg.max() < num_graphs:
+        raise ShapeMismatchError(f"segment ids must lie in 0..{num_graphs - 1}")
+    order = np.argsort(seg, kind="stable")
+    return _slot_table(order, seg[order], num_graphs, seg.size), seg[None, :]
+
+
+class Neighbours:
+    """A graph's neighbour table, as neighbour_slots builds it. gin_encode
+    takes it in place of the edge list, so that graphs encoded many times
+    build their tables once (PackedGraphs)."""
+
+    __slots__ = ("slots",)
+
+    def __init__(self, slots):
+        self.slots = slots
 
 
 def _node_rows(features, gin):
@@ -206,30 +251,34 @@ def gin_encode(features, edges, gin, *, rng=None):
     """Per-node embedding matrix for one graph (or a disjoint union of graphs).
 
     ``features`` is (num_nodes, input_dim); ``edges`` holds each undirected
-    edge once as a local index pair. Isolated nodes simply get no neighbor
-    term. With an rng the encoder runs in training mode, with dropout.
+    edge once as a local index pair, or is the graph's Neighbours table.
+    Isolated nodes simply get no neighbor term. With an rng the encoder runs
+    in training mode, with dropout.
     """
     h = _node_rows(features, gin)
     num_nodes = h.data.shape[0]
-    edges = list(edges)
+    if isinstance(edges, Neighbours):
+        slots = edges.slots
+        if slots.ndim != 2 or slots.shape[1] != num_nodes:
+            raise ShapeMismatchError(
+                f"neighbour table {slots.shape} does not fit {num_nodes} nodes"
+            )
+    else:
+        slots = neighbour_slots(list(edges), num_nodes)
     neighbour_sum = None
-    if edges:
-        src, dst = _directed_edges(edges)
-        # src holds both ends of every edge
-        if src.min() < 0 or src.max() >= num_nodes:
-            raise ShapeMismatchError("edge index out of range")
+    if slots.shape[0]:
 
         def neighbour_sum(h):
-            return segment_sum(gather_rows(h, src), dst, num_nodes)
+            return slot_sum(h, slots, slots)
 
     return _gin_layers(h, gin, neighbour_sum, rng)
 
 
 def forward_batch(features, edges, segment_ids, num_graphs, gin, head, *, rng=None):
     """(num_graphs, 1) scores for a block-diagonal disjoint union of graphs;
-    eval mode unless an rng is given."""
+    eval mode unless an rng is given. ``edges`` is as in gin_encode."""
     h = gin_encode(features, edges, gin, rng=rng)
-    pooled = segment_sum(h, segment_ids, num_graphs)
+    pooled = slot_sum(h, *readout_slots(segment_ids, num_graphs))
     return head.score(pooled, rng=rng, drop=gin.config.dropout)
 
 
@@ -264,6 +313,43 @@ def pack_graphs(graphs):
     edges = [(a + o, b + o) for o, (_, local) in zip(offsets, graphs) for a, b in local]
     seg = np.repeat(np.arange(len(graphs), dtype=np.intp), sizes)
     return np.concatenate(feats, axis=0), edges, seg, len(graphs)
+
+
+class PackedGraphs:
+    """(features, local_edges) pairs packed once, for many minibatches: the
+    features, node offsets and neighbour table of all graphs are arrays, so
+    a batch is index arithmetic, with no loop over its graphs.
+
+    ``batch(indices)`` is pack_graphs of those graphs, bit for bit, except
+    that its edges come as their Neighbours table.
+    """
+
+    def __init__(self, graphs):
+        feats = [np.asarray(f, dtype=np.float64) for f, _ in graphs]
+        self.sizes = np.array([f.shape[0] for f in feats], dtype=np.intp)
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.features = np.concatenate(feats, axis=0)
+        self.total = self.features.shape[0]
+        edges = [np.asarray(local, dtype=np.intp).reshape(-1, 2) + start
+                 for start, (_, local) in zip(self.starts, graphs)]
+        # one table over all nodes; a graph's nodes are consecutive, so its
+        # neighbours keep their order when the graph moves within a batch
+        self.slots = neighbour_slots(np.concatenate(edges), self.total)
+        self.degrees = (self.slots < self.total).sum(axis=0)
+
+    def batch(self, indices):
+        """(features, Neighbours, segment_ids, num_graphs) of the graphs
+        ``indices``, in that order."""
+        indices = np.asarray(indices, dtype=np.intp)
+        sizes = self.sizes[indices]
+        rows = int(sizes.sum())
+        # batch row j is node j - shift[j] of all graphs
+        shift = np.repeat(np.cumsum(sizes) - sizes - self.starts[indices], sizes)
+        nodes = np.arange(rows) - shift
+        slots = self.slots[:self.degrees[nodes].max(initial=0), nodes]
+        slots = np.where(slots < self.total, slots + shift, rows)
+        seg = np.repeat(np.arange(indices.size), sizes)
+        return self.features[nodes], Neighbours(slots), seg, indices.size
 
 
 def named_union(*param_dicts):

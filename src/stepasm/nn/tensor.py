@@ -9,9 +9,10 @@ ops use:
 - arithmetic: add, sub, mul (an operand may be a python scalar), matmul;
 - activations: relu, sigmoid, and dropout, which is the identity in eval
   mode, that is when its rng is None;
-- rows: gather_rows, concat_rows, and segment_sum, which with gather_rows
-  also sums each node's neighbour rows (message passing); block_sum does both
-  jobs for graphs that all share one shape, without an edge list;
+- rows: gather_rows, concat_rows, and slot_sum, which sums the rows an
+  index table lists per output row: each node's neighbours (message passing)
+  or each graph's nodes (the sum readout); block_sum does both jobs for
+  graphs that all share one shape, without a table;
 - losses: mae_loss, bce_loss, listwise_loss.
 """
 
@@ -213,22 +214,46 @@ def concat_rows(tensors):
     return _make(data, tuple(tensors), backward)
 
 
-def segment_sum(a, segment_ids, num_segments):
-    """Sum rows of a into num_segments buckets, each bucket in row order.
+def _slot_sums(x, slots):
+    """Row i is 0.0 + x[slots[0, i]] + x[slots[1, i]] + ..., added in slot
+    order; the index len(x) reads a zero row. These are the bits of np.add.at
+    into zeros: a running sum that starts at +0.0 never becomes -0.0, so the
+    +0.0 a padded slot adds changes nothing."""
+    if not slots.shape[0]:
+        return np.zeros((slots.shape[1],) + x.shape[1:])
+    padded = np.concatenate([x, np.zeros((1,) + x.shape[1:])])
+    out = padded[slots[0]]
+    out += 0.0  # 0.0 + x: a lone -0.0 comes out +0.0
+    for s in slots[1:]:
+        out += padded[s]
+    return out
 
-    This is the graph-level readout, and over gather_rows(h, src) with
-    segment ids dst it is message passing: row i sums h[src] over the edges
-    src -> i.
+
+def slot_sum(a, slots, back):
+    """Sums of listed rows: output row i sums the rows of a that column i of
+    the (depth, outputs) index table ``slots`` lists, in slot order from 0.0.
+    A column shorter than the depth is padded with the row count of a, which
+    reads a zero row.
+
+    ``back`` is the table of the transposed sum, (depth, rows of a) and
+    padded with the output count, so the backward sums rows of g the same
+    way. A graph's neighbour table (column i lists node i's neighbours in
+    ascending order) is its own transpose: that is message passing. The sum
+    readout lists each graph's nodes, and its transpose is one slot holding
+    each node's graph.
     """
     a = as_tensor(a)
-    seg = np.asarray(segment_ids, dtype=np.intp)
-    if seg.shape[0] != a.data.shape[0]:
-        raise ShapeMismatchError("segment ids must cover every row")
-    data = np.zeros((num_segments,) + a.data.shape[1:])
-    np.add.at(data, seg, a.data)
+    slots = np.asarray(slots, dtype=np.intp)
+    back = np.asarray(back, dtype=np.intp)
+    rows = a.data.shape[0]
+    if slots.ndim != 2 or back.ndim != 2 or back.shape[1] != rows:
+        raise ShapeMismatchError(
+            f"slot tables {slots.shape} and {back.shape} do not fit {rows} rows"
+        )
+    data = _slot_sums(a.data, slots)
 
     def backward(g):
-        _accum(a, g[seg])
+        _accum(a, _slot_sums(g, back))
 
     return _make(data, (a,), backward)
 

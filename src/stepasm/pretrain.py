@@ -8,6 +8,7 @@ from .errors import EmptyDatasetError
 from .nn.model import (
     GINConfig,
     GINParams,
+    PackedGraphs,
     TaskHeadParams,
     forward_batch,
     named_union,
@@ -50,9 +51,10 @@ def source_graphs(instances, multimers):
 
 
 def _batch_forward(graphs, gin, head):
+    packed = PackedGraphs([(g[0], g[1]) for g in graphs])
+
     def forward(indices, training, rng):
-        feats, edges, seg, g = pack_graphs([(graphs[i][0], graphs[i][1]) for i in indices])
-        return forward_batch(feats, edges, seg, g, gin, head, rng=rng)
+        return forward_batch(*packed.batch(indices), gin, head, rng=rng)
 
     return forward
 

@@ -180,10 +180,27 @@ def _repeated_chain_id(record):
     record["chains"][1]["id"] = record["chains"][0]["id"]
 
 
+def _chain_1_id(value):
+    def mutate(record):
+        record["chains"][1]["id"] = value
+    return mutate
+
+
+# a chain file writes ">{id}" and reads the id back stripped, so ids compare so
+REPEATED = "line 1: .*chain ids repeat: \\['0', '0', '2', '3'\\]"
+UNWRITABLE = "line 1: .*chain id .* is empty or spans lines"
+
+
 @pytest.mark.parametrize("mutate,error,message", [
     (_short_copies_of_chain_0, "LengthMismatchError", "chain 0: 20 placed points"),
-    (_repeated_chain_id, "MalformedRecordError", "line 1: .*chain ids repeat: \\['0', '0', '2', '3'\\]"),
-], ids=["short-dimer-copies", "repeated-chain-id"])
+    (_repeated_chain_id, "MalformedRecordError", REPEATED),
+    (_chain_1_id(" 0"), "MalformedRecordError", REPEATED),
+    (_chain_1_id(0), "MalformedRecordError", REPEATED),
+    (_chain_1_id(" \t"), "MalformedRecordError", UNWRITABLE),
+    (_chain_1_id("1\n9"), "MalformedRecordError", UNWRITABLE),
+    (_chain_1_id("1\r9"), "MalformedRecordError", UNWRITABLE),
+], ids=["short-dimer-copies", "repeated-chain-id", "padded-chain-id", "int-chain-id",
+        "blank-chain-id", "newline-chain-id", "return-chain-id"])
 def test_infer_refuses_a_record_before_writing_anything(workflow, tmp_path, capsys,
                                                        mutate, error, message):
     _, _, data, _, tuned = workflow
@@ -729,6 +746,29 @@ def _one_json_line(text):
     return json.loads(lines[0])
 
 
+@pytest.mark.parametrize("command,section,key,width", [
+    ("pretrain", "model", "hidden_dim", 10**12),
+    ("pretrain", "model", "head_hidden", 10**30),
+    ("prompt-tune", "prompt", "mlp_hidden", 10**12),
+])
+def test_widths_that_cannot_be_allocated_exit_cleanly(workflow, tmp_path, capsys,
+                                                      command, section, key, width):
+    # the config loads; building the model must fail typed, before any output
+    _, _, data, pre, _ = workflow
+    cfg_path = tmp_path / "wide.json"
+    cfg_path.write_text(json.dumps({**TINY_CONFIG, section: {
+        **TINY_CONFIG.get(section, {}), key: width}}))
+    out = tmp_path / "model.npz"
+    ckpt = ["--ckpt", str(pre)] if command == "prompt-tune" else []
+    capsys.readouterr()
+    code = cli.main([command, "--config", str(cfg_path), "--data", str(data), *ckpt,
+                     "--out", str(out)])
+    assert code == 2
+    err = _one_json_line(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "cannot be allocated" in err["message"]
+    assert not out.exists() and not os.path.exists(f"{out}.log.json")
+
+
 def test_cli_rejects_a_config_nested_deeper_than_the_stack(tmp_path, capsys):
     cfg_path = tmp_path / "deep.json"
     cfg_path.write_text("[" * 100_000)
@@ -791,6 +831,22 @@ def test_load_config_rejects_invalid_json(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(bad)
+
+
+@pytest.mark.parametrize("text", [b'{"seed": 1\xff}', b'{"seed": ' + b"9" * 5000 + b"}"])
+def test_load_config_rejects_bytes_json_cannot_read(tmp_path, text):
+    # invalid UTF-8, and an integer of more digits than Python converts
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(text)
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config(bad)
+
+
+def test_config_rejects_an_integer_beyond_the_float_range():
+    # it would load, and training would fail converting the rate to a float
+    with pytest.raises(ConfigError, match="pretrain.lr: an integer beyond the float range"):
+        config_from_dict({"pretrain": {"lr": 10**400}})
+    assert config_from_dict({"pretrain": {"lr": 1}}).pretrain.lr == 1
 
 
 # ---------------------------------------------------------------------------

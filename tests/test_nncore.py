@@ -8,16 +8,20 @@ from stepasm.nn import tensor as tensor_module
 from stepasm.nn.model import (
     GINConfig,
     GINParams,
+    Neighbours,
+    PackedGraphs,
     TaskHeadParams,
-    _directed_edges,
     flatten_named,
+    forward_batch,
     grad_vector,
     gin_encode,
     load_vector,
     named_union,
+    neighbour_slots,
     pack_graphs,
     params_hash,
     readout_regress,
+    readout_slots,
 )
 from stepasm.nn.optim import Adam
 from stepasm.nn.tensor import (
@@ -34,8 +38,8 @@ from stepasm.nn.tensor import (
     matmul,
     mul,
     relu,
-    segment_sum,
     sigmoid,
+    slot_sum,
     sub,
 )
 from stepasm.prompt import PATH_NEIGHBOURS, PROMPT_EDGES
@@ -103,10 +107,11 @@ def test_op_gradients_match_finite_differences(op):
         elif op == "concat":
             out = concat_rows([a, b])
         elif op == "message_passing":
-            # row i sums a[src] over the edges src -> i, as gin_encode does
-            out = segment_sum(gather_rows(a, [0, 1, 2]), np.array([1, 2, 3]), 4)
+            # row i sums its neighbours' rows, as gin_encode does; node 1 has three
+            slots = neighbour_slots([(0, 1), (1, 2), (1, 3)], 4)
+            out = slot_sum(a, slots, slots)
         elif op == "segment":
-            out = segment_sum(a, np.array([0, 1, 0, 1]), 2)
+            out = slot_sum(a, *readout_slots([0, 1, 0, 1], 2))
         elif op == "block_neighbours":
             # two 4-node paths stored node-major, two rows per node
             out = block_sum(concat_rows([a, b]), 2, PATH_NEIGHBOURS)
@@ -205,48 +210,174 @@ def test_readout_permutation_invariant():
         )
 
 
+def directed_edges(edges):
+    """Reference: (src, dst) of both directions of each edge, in the (dst,
+    src) order of Python's tuple sort, duplicates and self-loops too."""
+    pairs = sorted((d, s) for a, b in edges for s, d in ((a, b), (b, a)))
+    return (np.array([s for _, s in pairs], dtype=np.intp),
+            np.array([d for d, _ in pairs], dtype=np.intp))
+
+
+# isolated nodes (the highest-numbered among them), a star of degree 4, a
+# repeated edge, a self-loop, and no edges at all
+SLOT_GRAPHS = [
+    (6, [(0, 1), (1, 2)]),
+    (7, [(2, 0), (2, 1), (2, 3), (2, 4), (0, 1)]),
+    (5, [(0, 1), (0, 1), (3, 3), (1, 3)]),
+    (4, []),
+]
+
+
 def test_directed_edges_match_the_sorted_tuple_reference():
-    # message passing accumulates in this order, so it must be exactly the
-    # (dst, src) order of Python's tuple sort, duplicates and self-loops too
+    # message passing adds each node's neighbours in this order, so column i
+    # of the neighbour table must list them exactly in the (dst, src) order
+    # of Python's tuple sort; every pad is n, the zero row slot_sum appends
+    # (a pad of max(src) + 1 would read a real row when the last nodes are
+    # isolated)
     rng = np.random.default_rng(19)
+    graphs = list(SLOT_GRAPHS)
     for _ in range(200):
         n = int(rng.integers(2, 30))
-        edges = [tuple(int(v) for v in rng.integers(0, n, 2))
-                 for _ in range(int(rng.integers(1, 40)))]
-        pairs = sorted((d, s) for a, b in edges for s, d in ((a, b), (b, a)))
-        src, dst = _directed_edges(edges)
-        assert src.tolist() == [s for _, s in pairs]
-        assert dst.tolist() == [d for d, _ in pairs]
+        graphs.append((n, [tuple(int(v) for v in rng.integers(0, n, 2))
+                           for _ in range(int(rng.integers(1, 40)))]))
+    for n, edges in graphs:
+        slots = neighbour_slots(edges, n)
+        src, dst = directed_edges(edges)
+        assert slots.shape == (np.bincount(dst, minlength=n).max(initial=0), n)
+        for i in range(n):
+            listed = src[dst == i].tolist()
+            assert slots[:len(listed), i].tolist() == listed
+            assert (slots[len(listed):, i] == n).all()
+
+
+def scatter_reference(data, src, dst, num_out, g):
+    """Explicit np.add.at into zeros: out[dst[k]] += data[src[k]], and the
+    gradient of data, grad[src[k]] += g[dst[k]]."""
+    out = np.zeros((num_out,) + data.shape[1:])
+    np.add.at(out, dst, data[src])
+    grad = np.zeros_like(data)
+    np.add.at(grad, src, g[dst])
+    return out, grad
+
+
+def with_signed_zeros(rng, shape):
+    x = rng.normal(size=shape)
+    x[rng.random(shape) < 0.3] = -0.0
+    return x
+
+
+def assert_same_bits(got, want):
+    for x, y in zip(got, want):
+        assert x.shape == y.shape
+        assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
 @pytest.mark.parametrize("width", [1, 2, 7, 128])
 def test_block_sum_is_the_scatter_bit_for_bit(width):
     # over B paths stored node-major, message passing and the readout as
-    # block sums must give the bits of segment_sum, signed zeros included:
-    # np.add.at adds into +0.0, so a lone -0.0 neighbour comes out +0.0
+    # block sums must give the bits of np.add.at into zeros, signed zeros
+    # included: a lone -0.0 neighbour comes out +0.0
     rng = np.random.default_rng(width)
-    data = rng.normal(size=(4 * width, 3))
-    data[rng.random(data.shape) < 0.3] = -0.0
-    seed = rng.normal(size=(4 * width, 3))
-    seed[rng.random(seed.shape) < 0.3] = -0.0
-    src, dst = _directed_edges([(r * width + i, s * width + i)
-                                for r, s in PROMPT_EDGES for i in range(width)])
+    data = with_signed_zeros(rng, (4 * width, 3))
+    seed = with_signed_zeros(rng, (4 * width, 3))
+    src, dst = directed_edges([(r * width + i, s * width + i)
+                               for r, s in PROMPT_EDGES for i in range(width)])
+    rows = np.arange(4 * width)
     segments = np.tile(np.arange(width), 4)
     cases = [
-        (lambda a: block_sum(a, width, PATH_NEIGHBOURS),
-         lambda a: segment_sum(gather_rows(a, src), dst, 4 * width), seed),
-        (lambda a: block_sum(a, width, ((0, 1, 2, 3),)),
-         lambda a: segment_sum(a, segments, width), seed[:width]),
+        (lambda a: block_sum(a, width, PATH_NEIGHBOURS), (src, dst, 4 * width), seed),
+        (lambda a: block_sum(a, width, ((0, 1, 2, 3),)), (rows, segments, width),
+         seed[:width]),
     ]
-    for blocks, scatter, g in cases:
-        got, want = [], []
-        for fn, sink in ((blocks, got), (scatter, want)):
-            a = Tensor(data.copy(), requires_grad=True)
-            out = fn(a)
-            out.backward(g)
-            sink += [out.data, a.grad]
-        for x, y in zip(got, want):
-            assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+    for blocks, edges, g in cases:
+        a = Tensor(data.copy(), requires_grad=True)
+        out = blocks(a)
+        out.backward(g)
+        assert_same_bits((out.data, a.grad), scatter_reference(data, *edges, g))
+
+
+@pytest.mark.parametrize("n, edges", SLOT_GRAPHS)
+def test_slot_sum_is_the_scatter_bit_for_bit(n, edges):
+    rng = np.random.default_rng(n + len(edges))
+    data = with_signed_zeros(rng, (n, 3))
+    g = with_signed_zeros(rng, (n, 3))
+    slots = neighbour_slots(edges, n)
+    a = Tensor(data.copy(), requires_grad=True)
+    out = slot_sum(a, slots, slots)
+    out.backward(g)
+    assert_same_bits((out.data, a.grad), scatter_reference(data, *directed_edges(edges), n, g))
+    # the readout: graphs of interleaved rows, one of them empty
+    seg = rng.integers(0, 3, n)
+    a = Tensor(data.copy(), requires_grad=True)
+    out = slot_sum(a, *readout_slots(seg, 4))
+    out.backward(g[:4])
+    assert_same_bits((out.data, a.grad),
+                     scatter_reference(data, np.arange(n), seg, 4, g[:4]))
+
+
+def test_packed_batch_equals_pack_graphs():
+    rng = np.random.default_rng(23)
+    graphs = []
+    for n in rng.integers(1, 6, 40):
+        edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
+        graphs.append((rng.normal(size=(n, 5)), edges if rng.random() < 0.8 else []))
+    packed = PackedGraphs(graphs)
+    for indices in (rng.permutation(40)[:13], [39], [5, 0], rng.permutation(40)):
+        feats, neighbours, seg, count = packed.batch(indices)
+        want_feats, edges, want_seg, want_count = pack_graphs([graphs[i] for i in indices])
+        assert feats.tobytes() == want_feats.tobytes()
+        assert np.array_equal(neighbours.slots, neighbour_slots(edges, len(want_feats)))
+        assert np.array_equal(seg, want_seg) and count == want_count
+
+
+def test_neighbour_table_encodes_as_its_edges():
+    gin = GINParams.init(GINConfig(input_dim=5, hidden_dim=8), 3)
+    head = TaskHeadParams.init(5, 6, 4)
+    rng = np.random.default_rng(24)
+    graphs = [(rng.normal(size=(n, 5)), [(i - 1, i) for i in range(1, n)]) for n in (3, 1, 4)]
+    feats, edges, seg, count = pack_graphs(graphs)
+    table = Neighbours(neighbour_slots(edges, len(feats)))
+    want = forward_batch(feats, edges, seg, count, gin, head).data
+    got = forward_batch(feats, table, seg, count, gin, head).data
+    assert got.tobytes() == want.tobytes()
+    with pytest.raises(ShapeMismatchError):
+        gin_encode(feats[:-1], table, gin)
+
+
+class NumpyWithoutScatter:
+    """numpy, except that np.add.at raises."""
+
+    class add:
+        reduce = staticmethod(np.add.reduce)
+        reduceat = staticmethod(np.add.reduceat)
+
+        def __new__(cls, *args, **kwargs):
+            return np.add(*args, **kwargs)
+
+        @staticmethod
+        def at(*args, **kwargs):
+            raise AssertionError("np.add.at called")
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def test_a_pretraining_step_makes_no_scatter_call(monkeypatch):
+    from stepasm import pretrain, training
+    from stepasm.datagen import gen_multimer_set, make_source_dataset
+    from stepasm.nn import model as model_module, optim as optim_module
+
+    for module in (tensor_module, model_module, optim_module, training, pretrain):
+        monkeypatch.setattr(module, "np", NumpyWithoutScatter())
+    with pytest.raises(AssertionError, match="np.add.at called"):  # the patch bites
+        gather_rows(Tensor(np.ones((2, 1)), requires_grad=True), [0, 0]).backward(np.ones((2, 1)))
+    ms = gen_multimer_set({3: 2, 5: 2}, seed=25)
+    cfg = pretrain.PretrainConfig(
+        train=TrainConfig(lr=0.01, epochs=2, batch_size=4, patience=2), hidden_dim=8,
+        head_hidden=8)
+    _, _, log = pretrain.pretrain(make_source_dataset(ms, 3, seed=26),
+                                  {m.name: m for m in ms}, cfg)
+    assert len(log) == 2
 
 
 def test_block_sum_rejects_rows_that_do_not_fill_the_blocks():
@@ -346,6 +477,26 @@ def test_adam_skips_parameters_without_grad():
     opt.step()
     assert not np.allclose(p.data, np.ones(2))
     assert np.allclose(q.data, np.ones(2))
+
+
+def test_adam_steps_a_parameter_whose_data_was_rebound():
+    # parameters live as views into Adam's flat buffer; rebinding .data (as
+    # restoring a saved state does) must still be stepped, from the new values
+    p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    q = Tensor(np.array([[0.5]]), requires_grad=True)
+    opt = Adam({"p": p, "q": q}, lr=0.1)
+    ref = Adam({"p": Tensor(np.array([3.0, 4.0]), requires_grad=True),
+                "q": Tensor(np.array([[0.5]]), requires_grad=True)}, lr=0.1)
+    p.data = np.array([3.0, 4.0])
+    for t in (p, q, *ref.params.values()):
+        t.grad = np.full(t.data.shape, 0.25)
+    opt.step()
+    ref.step()
+    assert p.data.tobytes() == ref.params["p"].data.tobytes()
+    assert q.data.tobytes() == ref.params["q"].data.tobytes()
+    p.grad = np.zeros(3)
+    with pytest.raises(ShapeMismatchError):
+        opt.step()
 
 
 def test_dropout_train_vs_eval():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from stepasm import cli
 from stepasm.chainio import MIN_CHAIN_LEN, parse_chain_coords, write_chain_file
+from stepasm.config import RunConfig, config_to_dict
 from stepasm.datagen import (
     gen_synthetic_multimer,
     multimer_from_dict,
@@ -519,6 +520,72 @@ def test_mutated_checkpoint_metadata_exits_cleanly(meta_inputs, tmp_path_factory
         assert np.isfinite(report["probs"]).all()
         assert all(m is None or np.isfinite(m) for m in report["margins"])
         assert all(np.isfinite(c.coords).all() for c in parse_chain_coords(outputs[1]))
+
+
+CONFIG_BYTES = json.dumps(config_to_dict(RunConfig())).encode()
+MARK = "\x00mutated\x00"
+
+
+def _config_paths(node, path=()):
+    """The path of every section and value of a config mapping."""
+    for key, value in node.items():
+        yield path + (key,)
+        if isinstance(value, dict):
+            yield from _config_paths(value, path + (key,))
+
+
+CONFIG_PATHS = list(_config_paths(json.loads(CONFIG_BYTES)))
+
+
+@st.composite
+def config_mutations(draw):
+    """The default config as JSON bytes with one mutation: a byte flipped, a
+    cut, invalid UTF-8 inserted, or one section or value replaced by deep
+    nesting, a wrong JSON type, NaN or an infinity, or a huge integer."""
+    kind = draw(st.sampled_from(["flip", "truncate", "utf8", "nest", "type", "nonfinite",
+                                 "huge"]))
+    if kind == "flip":
+        out = bytearray(CONFIG_BYTES)
+        out[draw(st.integers(0, len(out) - 1))] ^= draw(st.integers(1, 255))
+        return bytes(out)
+    if kind == "truncate":
+        return CONFIG_BYTES[:draw(st.integers(0, len(CONFIG_BYTES) - 1))]
+    if kind == "utf8":
+        at = draw(st.integers(0, len(CONFIG_BYTES)))
+        bad = draw(st.sampled_from([b"\xff", b"\x80", b"\xc3\x28", b"\xed\xa0\x80"]))
+        return CONFIG_BYTES[:at] + bad + CONFIG_BYTES[at:]
+    if kind == "nest":
+        depth = draw(st.sampled_from([1, 3, 100_000]))
+        token = "[" * depth + draw(st.sampled_from(["0", "{}", ""])) + "]" * depth
+    elif kind == "type":
+        token = json.dumps(draw(JSON_VALUES))
+    elif kind == "nonfinite":
+        token = draw(st.sampled_from(["NaN", "Infinity", "-Infinity"]))
+    else:
+        digits = draw(st.sampled_from([19, 40, 309, 400, 4300, 5000]))
+        token = draw(st.sampled_from(["", "-"])) + "9" * digits
+    data = json.loads(CONFIG_BYTES)
+    *parents, key = draw(st.sampled_from(CONFIG_PATHS))
+    node = data
+    for name in parents:
+        node = node[name]
+    node[key] = MARK
+    return json.dumps(data).replace(json.dumps(MARK), token).encode()
+
+
+@given(raw=config_mutations())
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_config_exits_cleanly(tmp_path_factory, capsys, raw):
+    # grad-check is the cheapest command that loads a config
+    path = tmp_path_factory.mktemp("config") / "run.json"
+    path.write_bytes(raw)
+    code = cli.main(["grad-check", "--graphs", "1", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert code in (0, 2)
+    if code == 2:
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "message"}
 
 
 def textbook_adam(params, grads, lr):
