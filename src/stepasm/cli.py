@@ -8,6 +8,9 @@ import argparse
 import json
 import os
 import sys
+import warnings
+from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -16,7 +19,7 @@ from .chainio import parse_chain_coords, write_chain_file
 from .checkpoint import load_models, save_models
 from .config import DataConfig, RunConfig, config_from_dict, config_hash, load_config
 from .diagnostics import batched_gradcheck, gradcheck
-from .errors import ConfigError, LengthMismatchError, StepasmError
+from .errors import ConfigError, LengthMismatchError, NoValidGrowthWarning, StepasmError
 from .graphs import ChainStructure, best_assembly, enumerate_scores
 from .inference import ScoringPipeline, evaluate, infer_path, predict_structure
 from .ioutil import atomic_write_text
@@ -47,6 +50,23 @@ def _common(sub):
     sub.add_argument("--seed", type=int, help="override the config seed")
 
 
+@contextmanager
+def _passed_on(category):
+    """A list that, when the block ends, holds the warnings of ``category``
+    raised in it, whatever the warning filters say. Every warning raised in
+    the block is then passed on to the filters, as it was raised."""
+    caught, counted = [], []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", category)
+            yield counted
+    finally:
+        counted.extend(w for w in caught if issubclass(w.category, category))
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
+                                   source=w.source)
+
+
 def cmd_gen_data(args):
     cfg = _load_run_config(args)
     # --n/--count pass the checks a config's data.counts passes
@@ -60,12 +80,13 @@ def cmd_gen_data(args):
         source_pool, cfg.data.samples_per_multimer, cfg.seed
     ) if source_pool else []
     target = []
-    for idx, m in enumerate(multimers):
-        target.extend(
-            datagen.make_target_dataset(
-                m, np.random.default_rng([cfg.seed, 1000 + idx]), starts=cfg.data.starts
+    with _passed_on(NoValidGrowthWarning) as dead_ends:
+        for idx, m in enumerate(multimers):
+            target.extend(
+                datagen.make_target_dataset(
+                    m, np.random.default_rng([cfg.seed, 1000 + idx]), starts=cfg.data.starts
+                )
             )
-        )
     paths = {
         "multimers": os.path.join(args.out, "multimers.jsonl"),
         "source": os.path.join(args.out, "source.jsonl"),
@@ -84,6 +105,10 @@ def cmd_gen_data(args):
         "n_target": len(target),
         "n_target_small": len(split.small),
         "n_target_large": len(split.large),
+        "no_valid_growth": len(dead_ends),
+        "target_records_by_condition_size": {
+            str(size): count for size, count in sorted(
+                Counter(len(r.cond_nodes) for r in target).items())},
         "files": {k: os.path.basename(v) for k, v in paths.items()},
     })
     print(f"wrote {len(multimers)} multimers, {len(source)} source / "

@@ -419,16 +419,19 @@ def _decoded(line, lineno=None):
     """The JSON value of one line of bytes, which must be UTF-8 JSON."""
     try:
         return json.loads(line.decode())
-    # json's decoder raises RecursionError on nesting deeper than the stack
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    # UnicodeDecodeError and JSONDecodeError are ValueErrors, as is an integer
+    # longer than Python converts; json's decoder raises RecursionError on
+    # nesting deeper than the stack
+    except (ValueError, RecursionError) as exc:
         raise MalformedRecordError(f"bad JSON record: {exc}", lineno) from None
 
 
 def _converted(convert, record, lineno=None):
     try:
         return convert(record)
+    # OverflowError: an infinite or huge number where an int or float goes
     except (StepasmError, KeyError, IndexError, TypeError, ValueError,
-            AttributeError) as exc:
+            AttributeError, OverflowError) as exc:
         raise MalformedRecordError(
             f"bad record: {type(exc).__name__}: {exc}", lineno) from None
 
@@ -570,8 +573,8 @@ def load_source_dataset(path, multimers):
 
 
 def load_target_dataset(path, multimers):
-    """Target records; each extended condition must be a tree over chains of
-    the multimer it names."""
+    """Target records; each condition, and the condition extended by its
+    action, must be a tree over chains of the multimer it names."""
     def make(r, m):
         inst = TargetInstance(
             multimer=m.name,
@@ -584,6 +587,7 @@ def load_target_dataset(path, multimers):
         )
         if min(inst.cond_nodes + (inst.v_u,)) < 0:
             raise ValueError("chain labels must be non-negative")
+        inst.condition(m)
         inst.extended(m)
         return inst
 

@@ -8,6 +8,8 @@ Overview
 --------
 kabsch_align(reference, mobile)
     Closed-form least-squares rigid transform mapping mobile onto reference.
+kabsch_fits(references, mobiles)
+    kabsch_align of many equal-length pairs, as one stacked fit.
 apply_transform(t, coords)
     Apply a RigidTransform to a coordinate set.
 rmsd(a, b)
@@ -124,6 +126,21 @@ def _superpose_metrics(pred, gt, d0):
     return tm, rmsd
 
 
+def _checked_fit(ref, mob):
+    """``_kabsch_transform`` of one pair or a stack of pairs of equal length,
+    refusing fewer than 3 points and a rank-deficient covariance."""
+    if ref.shape[-2] < 3:
+        raise LengthMismatchError("kabsch_align needs at least 3 points")
+    rotation, translation, svals = _kabsch_transform(ref, mob)
+    for fit in svals.reshape(-1, 3).tolist():
+        if fit[1] / max(fit[0], 1e-30) < _RANK_RTOL:
+            raise DegenerateGeometryError(
+                "covariance is rank-deficient (collinear or coincident points); "
+                f"singular values {fit}"
+            )
+    return rotation, translation
+
+
 def kabsch_align(reference, mobile):
     """Optimal rigid transform T minimizing RMSD(reference, T(mobile)).
 
@@ -135,16 +152,24 @@ def kabsch_align(reference, mobile):
     ref = as_coords(reference, "reference")
     mob = as_coords(mobile, "mobile")
     _check_same_length(ref, mob)
-    if ref.shape[0] < 3:
-        raise LengthMismatchError("kabsch_align needs at least 3 points")
-    rotation, translation, svals = _kabsch_transform(ref, mob)
-    scale = max(svals[0], 1e-30)
-    if svals[1] / scale < _RANK_RTOL:
-        raise DegenerateGeometryError(
-            "covariance is rank-deficient (collinear or coincident points); "
-            f"singular values {svals.tolist()}"
+    return RigidTransform(*_checked_fit(ref, mob))
+
+
+def kabsch_fits(references, mobiles):
+    """``kabsch_align(references[i], mobiles[i])`` for every i, as one stacked
+    fit: (rotations (M, 3, 3), translations (M, 3)), each the bits of the
+    single fit.
+
+    The inputs are validated (L, 3) arrays, such as a ``DimerLibrary`` holds,
+    and all 2M of them must have one length. ``kabsch_align``'s checks apply
+    to every fit.
+    """
+    lengths = {len(x) for x in references + mobiles}
+    if len(lengths) > 1:
+        raise LengthMismatchError(
+            f"coordinate sets differ in length: {sorted(lengths)}"
         )
-    return RigidTransform(rotation, translation)
+    return _checked_fit(np.array(references), np.array(mobiles))
 
 
 def apply_transform(t, coords):

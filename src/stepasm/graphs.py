@@ -11,11 +11,14 @@ produces and the ground truth.
 The oracle computes that walk by composing transforms. Kabsch is
 equivariant, so the fit of an edge onto a placed chain is the placed chain's
 transform composed with a fit between two stored dimers; that fit depends
-only on (docked chain, the partner it was placed through, new chain). An
-``Oracle`` keeps those fits for one labelling call, builds each tree's
-chains from their transforms, and superposes a batch of trees onto the
-ground truth at once. Scoring all 6^4 trees of a 6-chain complex takes at
-most 6 * 5 * 4 = 120 Kabsch fits instead of 4 per tree.
+only on (docked chain, the partner it was placed through, new chain). One
+placer serves ``place_chains`` and the ``Oracle``: it walks edge sequences,
+fits the triples they need with one stacked Kabsch call per docked chain,
+and composes the transforms of a batch of sequences position by position.
+An ``Oracle`` keeps the fits for one labelling call and superposes a batch
+of trees onto the ground truth at once. Scoring all 6^4 trees of a 6-chain
+complex takes at most 6 * 5 * 4 = 120 Kabsch fits, in 6 stacked calls,
+instead of 4 fits per tree.
 
 The oracle scores generated, trusted ``(nodes, edges)`` pairs. Trees from
 outside, such as file records, are validated as ``AssemblyGraph`` on load.
@@ -36,7 +39,9 @@ from .errors import (
     MissingDimerError,
     TreeTooLargeError,
 )
-from .geometry import as_coords, kabsch_align, tm_scores
+from .geometry import as_coords, kabsch_fits, tm_scores
+# not called here; kept because perfbench/spans.py patches this name
+from .geometry import kabsch_align  # noqa: F401
 # not called here; kept because perfbench/spans.py patches this name
 from .geometry import tm_score  # noqa: F401
 
@@ -247,12 +252,11 @@ class DimerLibrary:
 
     def get(self, a, b):
         """Coordinate pair ordered to match the argument order."""
-        key = (min(a, b), max(a, b))
-        try:
-            xa, xb = self._pairs[key]
-        except KeyError:
-            raise MissingDimerError(f"no dimer stored for chain pair {key}") from None
-        return (xa, xb) if a < b else (xb, xa)
+        pair = self._pairs.get((a, b) if a < b else (b, a))
+        if pair is None:
+            raise MissingDimerError(
+                f"no dimer stored for chain pair {(min(a, b), max(a, b))}")
+        return pair if a < b else pair[::-1]
 
     def pairs(self):
         return sorted(self._pairs)
@@ -330,47 +334,111 @@ def _traversal_order(nodes, edges):
     return order
 
 
-_EYE = np.eye(3)
-_ORIGIN = np.zeros(3)
-# Trees superposed per batch: bounds the (trees, residues, 3) work arrays.
+# The identity transform as a 3 x 4 block of rotation and translation columns.
+_EYE_POSE = np.hstack([np.eye(3), np.zeros((3, 1))])
+# Trees placed and superposed per batch: bounds the (trees * chains, 3, 4)
+# and (trees, residues, 3) work arrays.
 _SCORE_BATCH = 256
 
 
-def _compose(edge_sequence, dimers, steps):
-    """How ``place_chains`` places each chain: {chain: (copy, partner, rotation,
-    translation)}, the chain being its copy in the dimer with ``partner``
-    moved by the rigid transform. Kabsch fits are looked up in, and added to,
-    ``steps``.
+class _Steps:
+    """Kabsch fits that dock a chain onto a placed one, kept for reuse.
 
-    The first edge's two chains keep their dimer frame. Docking w onto d,
-    with d placed as T_d(d's copy in (a, d)), superposes d's copy in (d, w)
-    onto that. Kabsch is equivariant, kabsch(T A, B) = T o kabsch(A, B), so
-    T_w = T_d o K with K = kabsch(d's copy in (a, d), d's copy in (d, w)),
-    which depends only on the triple (d, a, w): ``steps`` keeps it under that
-    key.
+    Docking w onto d, with d placed as T_d(d's copy in (a, d)), superposes
+    d's copy in (d, w) onto that. Kabsch is equivariant, kabsch(T A, B) =
+    T o kabsch(A, B), so T_w = T_d o K with K = kabsch(d's copy in (a, d),
+    d's copy in (d, w)), which depends only on the triple (d, a, w). Fit k
+    is ``poses[k]``, its rotation and translation as the columns of one
+    3 x 4 block; ``row`` maps each triple to k.
     """
-    poses = {}
-    for d, u in edge_sequence:
-        if d not in poses and u not in poses:
-            if poses:
-                raise DisconnectedTraversalError(
-                    f"edge ({d}, {u}) touches no placed chain"
-                )
-            xd, xu = dimers.get(d, u)
-            poses[d] = (xd, u, _EYE, _ORIGIN)
-            poses[u] = (xu, d, _EYE, _ORIGIN)
-            continue
-        if d not in poses:
-            d, u = u, d
-        if u in poses:
-            raise DisconnectedTraversalError(f"chain {u} placed twice")
-        xd, xu = dimers.get(d, u)
-        copy, a, rotation, translation = poses[d]
-        step = steps.get((d, a, u))
-        if step is None:
-            step = steps[d, a, u] = kabsch_align(copy, xd)
-        poses[u] = (xu, d, rotation @ step.rotation,
-                    rotation @ step.translation + translation)
+
+    def __init__(self, dimers):
+        self.dimers = dimers
+        self.row = {}
+        self.poses = np.empty((0, 3, 4))
+
+    def rows(self, triples):
+        """The fit of each (d, a, w) triple, fitting those not kept yet: one
+        stacked ``kabsch_fits`` per docked chain d."""
+        fresh = {}
+        for triple in triples:
+            if triple not in self.row:
+                fresh.setdefault(triple[0], {})[triple] = None
+        if fresh:
+            get = self.dimers.get
+            kept = len(self.row)
+            poses = np.empty((kept + sum(map(len, fresh.values())), 3, 4))
+            poses[:kept] = self.poses
+            for d, todo in fresh.items():
+                rotation, translation = kabsch_fits([get(d, a)[0] for _, a, _ in todo],
+                                                    [get(d, w)[0] for _, _, w in todo])
+                at = slice(len(self.row), len(self.row) + len(todo))
+                poses[at, :, :3] = rotation
+                poses[at, :, 3] = translation
+                for k, triple in enumerate(todo, at.start):
+                    self.row[triple] = k
+            self.poses = poses
+        return [self.row[triple] for triple in triples]
+
+
+def _walk(orders):
+    """How equal-length edge sequences place their chains, before any fit.
+
+    Each edge of a sequence extends the chains placed before it, either
+    chain first. Returns (placements, docked, triples): per sequence,
+    {chain: (the chain it was placed through, row)}; and per later edge of
+    each sequence, in order, the row of the chain it docks onto and the
+    ``_Steps`` triple of its fit. Row k * count + i holds the k-th chain
+    that sequence i places.
+    """
+    count = len(orders)
+    placements, docked, triples = [], [], []
+    for i, order in enumerate(orders):
+        (d, u), *rest = order
+        placed = {d: (u, i), u: (d, count + i)}
+        for d, u in rest:
+            if d not in placed:
+                if u not in placed:
+                    raise DisconnectedTraversalError(
+                        f"edge ({d}, {u}) touches no placed chain"
+                    )
+                d, u = u, d
+            elif u in placed:
+                raise DisconnectedTraversalError(f"chain {u} placed twice")
+            a, row = placed[d]
+            triples.append((d, a, u))
+            docked.append(row)
+            placed[u] = (d, len(placed) * count + i)
+        placements.append(placed)
+    return placements, docked, triples
+
+
+def _transforms(walk, steps):
+    """The transforms of a ``_walk``, as (rows, 3, 4) blocks of rotation and
+    translation columns: chain v of sequence i is its copy in the dimer with
+    its partner, moved by the transform in its row.
+
+    The first edge's two chains keep their dimer frame; every later edge
+    (d, w) moves w by d's transform composed with the fit of (d, d's
+    partner, w). Transforms compose by position in the sequences, every
+    sequence at once.
+    """
+    placements, docked, triples = walk
+    count, slots = len(placements), len(placements[0])
+    docked = np.array(docked, dtype=np.intp)
+    rows = steps.rows(triples)
+    fits = steps.poses[rows]
+    poses = np.empty((slots * count, 3, 4))
+    poses[:2 * count] = _EYE_POSE
+    for k in range(slots - 2):
+        # docked and fits hold each sequence's later edges as a run of
+        # slots - 2 entries, so edge k + 1 of every sequence is every
+        # (slots - 2)-th entry from k
+        pose = poses[docked[k::slots - 2]]
+        fit = fits[k::slots - 2]
+        new = poses[(k + 2) * count:(k + 3) * count]
+        np.matmul(pose[..., :3], fit[..., :3], out=new[..., :3])
+        np.add(np.matmul(pose[..., :3], fit[..., 3:])[..., 0], pose[..., 3], out=new[..., 3])
     return poses
 
 
@@ -382,32 +450,29 @@ def place_chains(edge_sequence, dimers):
     dimer onto the already-placed d, and maps u through that transform.
     Returns {chain index: coordinates}.
     """
-    poses = _compose(edge_sequence, dimers, {})
-    return {v: copy @ rotation.T + translation
-            for v, (copy, _, rotation, translation) in poses.items()}
+    order = list(edge_sequence)
+    if not order:
+        return {}
+    walk = _walk([order])
+    poses = _transforms(walk, _Steps(dimers))
+    return {v: dimers.get(v, a)[0] @ poses[row, :, :3].T + poses[row, :, 3]
+            for v, (a, row) in walk[0][0].items()}
 
 
 class Oracle:
     """Correctness of trees over one multimer, for one labelling call.
 
-    Keeps each Kabsch fit its placements compute (see ``_compose``), so scoring
-    every tree of an N-chain complex fits at most N(N-1)(N-2) of them, and the
-    score of each tree it has scored, so no tree is superposed twice. Make one
-    per call and drop it after: fits and scores hold only for the multimer
-    they came from.
+    Keeps each Kabsch fit its placements compute (see ``_Steps``), so scoring
+    every tree of an N-chain complex fits at most N(N-1)(N-2) of them, and
+    the score of each tree it has scored, so no tree is superposed twice.
+    Make one per call and drop it after: fits and scores hold only for the
+    multimer they came from.
     """
 
     def __init__(self, multimer):
         self.multimer = multimer
-        self._steps = {}
+        self._steps = _Steps(multimer.dimers)
         self._scores = {}
-
-    def _poses(self, tree):
-        nodes, edges = tree
-        if len(nodes) == 1:
-            only = nodes[0]
-            return {only: (self.multimer.chains[only].coords, None, _EYE, _ORIGIN)}
-        return _compose(_traversal_order(nodes, edges), self.multimer.dimers, self._steps)
 
     def scores(self, trees):
         """``assembly_correctness`` of each tree, in order.
@@ -417,41 +482,67 @@ class Oracle:
         file records are validated as ``AssemblyGraph`` when loaded.
 
         Only trees not scored before are built, each once, in first-seen
-        order. Trees over the same chains are built and superposed onto their
-        ground truth in batches: each chain's copies from one dimer are moved
-        by the stacked transforms of every tree that places it from that dimer.
+        order. Every tree is walked along its ``_traversal_order`` first,
+        and the fits the walks need that are not kept yet are made at once:
+        one stacked fit per docked chain. Trees of one size are then placed
+        in batches (``_transforms``), and the trees of a batch over the same
+        chains superposed onto their ground truth at once: each chain's
+        copies from one dimer are moved by the stacked transforms of every
+        tree that places it from that dimer.
         """
-        m = self.multimer
         fresh = [tree for tree in dict.fromkeys(trees) if tree not in self._scores]
-        by_nodes = {}
+        by_size = {}
         for tree in fresh:
-            by_nodes.setdefault(tree[0], []).append(tree)
-        for nodes, members in by_nodes.items():
-            lengths = [m.gt_coords[v].shape[0] for v in nodes]
-            bounds = np.cumsum([0] + lengths).tolist()
-            gt = np.concatenate([m.gt_coords[v] for v in nodes])
+            by_size.setdefault(len(tree[0]), []).append(tree)
+        batches = []
+        for size, members in by_size.items():
             for lo in range(0, len(members), _SCORE_BATCH):
                 batch = members[lo:lo + _SCORE_BATCH]
-                poses = [self._poses(tree) for tree in batch]
-                preds = np.empty((len(batch),) + gt.shape)
-                for k, v in enumerate(nodes):
-                    by_partner = {}
-                    for row, pose in enumerate(poses):
-                        by_partner.setdefault(pose[v][1], []).append(row)
-                    for rows in by_partner.values():
-                        copy = poses[rows[0]][v][0]
-                        if copy.shape[0] != lengths[k]:
-                            raise LengthMismatchError(
-                                f"chain {v}: {copy.shape[0]} placed points, "
-                                f"{lengths[k]} in the ground truth"
-                            )
-                        rotations = np.stack([poses[r][v][2] for r in rows])
-                        translations = np.stack([poses[r][v][3] for r in rows])
-                        preds[rows, bounds[k]:bounds[k + 1]] = (
-                            copy @ np.swapaxes(rotations, 1, 2) + translations[:, None]
-                        )
-                self._scores.update(zip(batch, tm_scores(preds, gt).tolist()))
+                walk = None if size == 1 else _walk([_traversal_order(*t) for t in batch])
+                batches.append((batch, walk))
+        # every fit the walks lack, at once: one stacked fit per docked chain
+        self._steps.rows([t for _, walk in batches if walk for t in walk[2]])
+        for batch, walk in batches:
+            if walk is None:
+                placements = [{nodes[0]: (None, 0)} for nodes, _ in batch]
+                poses = _EYE_POSE[None]
+            else:
+                placements, poses = walk[0], _transforms(walk, self._steps)
+            by_nodes = {}
+            for row, (nodes, _) in enumerate(batch):
+                by_nodes.setdefault(nodes, []).append(row)
+            for nodes, rows in by_nodes.items():
+                scores = self._superposed(nodes, [placements[row] for row in rows], poses)
+                self._scores.update(zip((batch[row] for row in rows), scores))
         return [self._scores[tree] for tree in trees]
+
+    def _superposed(self, nodes, placements, poses):
+        """TM-scores of trees over ``nodes``, given their ``_walk`` placements
+        and the ``_transforms`` of those."""
+        m = self.multimer
+        lengths = [m.gt_coords[v].shape[0] for v in nodes]
+        bounds = np.cumsum([0] + lengths).tolist()
+        gt = np.concatenate([m.gt_coords[v] for v in nodes])
+        preds = np.empty((len(placements),) + gt.shape)
+        for k, v in enumerate(nodes):
+            by_partner = {}
+            for i, placed in enumerate(placements):
+                a, row = placed[v]
+                members = by_partner.setdefault(a, ([], []))
+                members[0].append(i)
+                members[1].append(row)
+            for a, (members, rows) in by_partner.items():
+                copy = m.chains[v].coords if a is None else m.dimers.get(v, a)[0]
+                if copy.shape[0] != lengths[k]:
+                    raise LengthMismatchError(
+                        f"chain {v}: {copy.shape[0]} placed points, "
+                        f"{lengths[k]} in the ground truth"
+                    )
+                pose = poses[rows]
+                preds[members, bounds[k]:bounds[k + 1]] = (
+                    copy @ np.swapaxes(pose[..., :3], 1, 2) + pose[:, None, :, 3]
+                )
+        return tm_scores(preds, gt).tolist()
 
 
 def assembly_correctness(graph, multimer):

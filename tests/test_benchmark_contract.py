@@ -58,6 +58,7 @@ def test_every_kept_import_is_one_the_tracer_patches(monkeypatch):
     it; this fails as soon as that happens, so the import is not forgotten."""
     shims = _shims()
     assert sorted(shims) == [("stepasm.datagen", "assembly_correctness"),
+                             ("stepasm.graphs", "kabsch_align"),
                              ("stepasm.graphs", "tm_score"),
                              ("stepasm.inference", "pipeline_forward_batch"),
                              ("stepasm.meta", "pipeline_forward_batch")]

@@ -4,10 +4,13 @@ import dataclasses
 import hashlib
 import json
 import os
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from stepasm import cli, datagen
 from stepasm.datagen import (
     SMALL_SCALE_MAX,
     SourceInstance,
@@ -505,3 +508,40 @@ def test_labelling_output_is_pinned():
         assert [row[:-1] for row in got[section]] == [row[:-1] for row in want[section]]
         for row, pinned in zip(got[section], want[section]):
             assert abs(row[-1] - pinned[-1]) <= 1e-12, (section, row)
+
+
+# ---------------------------------------------------------------------------
+# the gen-data manifest explains its data
+
+
+def _gen_data_on_pin_inputs(monkeypatch, out):
+    monkeypatch.setattr(datagen, "gen_multimer_set", lambda counts, seed: pin_inputs())
+    assert cli.main(["gen-data", "--out", str(out)]) == 0
+    return json.loads((out / "manifest.json").read_text())
+
+
+def test_gen_data_manifest_counts_dead_ends(monkeypatch, tmp_path):
+    with pytest.warns(NoValidGrowthWarning, match="shifted") as caught:
+        manifest = _gen_data_on_pin_inputs(monkeypatch, tmp_path / "shown")
+    # every dead end still reaches the user, and each is counted
+    shown = [w for w in caught if issubclass(w.category, NoValidGrowthWarning)]
+    assert manifest["no_valid_growth"] == len(shown) >= 1
+    # ignored warnings are counted all the same, and the data do not move
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NoValidGrowthWarning)
+        ignored = _gen_data_on_pin_inputs(monkeypatch, tmp_path / "ignored")
+    assert ignored["no_valid_growth"] == manifest["no_valid_growth"]
+    for name in ("multimers.jsonl", "source.jsonl", "target.jsonl"):
+        assert ((tmp_path / "shown" / name).read_bytes()
+                == (tmp_path / "ignored" / name).read_bytes())
+
+
+@pytest.mark.filterwarnings("ignore::stepasm.errors.NoValidGrowthWarning")
+def test_gen_data_manifest_counts_records_by_condition_size(monkeypatch, tmp_path):
+    manifest = _gen_data_on_pin_inputs(monkeypatch, tmp_path)
+    with open(tmp_path / "target.jsonl") as fh:
+        sizes = Counter(len(json.loads(line)["cond_nodes"]) for line in fh)
+    assert manifest["target_records_by_condition_size"] == {
+        str(size): count for size, count in sorted(sizes.items())}
+    assert sum(manifest["target_records_by_condition_size"].values()) == manifest["n_target"]
+    assert set(sizes) == {1, 2, 3, 4, 5}

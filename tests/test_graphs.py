@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from stepasm import cli, graphs
-from stepasm.datagen import gen_synthetic_multimer, save_multimers
+from stepasm.datagen import gen_synthetic_multimer, label_actions, save_multimers
 from stepasm.errors import (
     DegenerateGeometryError,
     DisconnectedTraversalError,
@@ -13,6 +13,7 @@ from stepasm.errors import (
     MissingDimerError,
     TreeTooLargeError,
 )
+from stepasm.geometry import kabsch_align, kabsch_fits
 from stepasm.graphs import (
     AssemblyGraph,
     DimerLibrary,
@@ -142,16 +143,65 @@ def test_subgraph_features_align_with_nodes():
     assert np.array_equal(sub.attrs[1], m.chain_features[3])
 
 
+def _counted_fits(monkeypatch):
+    """The (references, mobiles) of every stacked fit the placer makes."""
+    calls = []
+    fit = graphs.kabsch_fits
+    monkeypatch.setattr(graphs, "kabsch_fits", lambda *a: calls.append(a) or fit(*a))
+    return calls
+
+
+def _docked_chain(m, references):
+    """The chain whose stored dimer copies ``references`` are."""
+    (d,) = {d for d in range(m.n) for a in range(m.n) if a != d
+            for x in references if m.dimers.get(d, a)[0] is x}
+    return d
+
+
 def test_enumerate_scores_fits_each_kabsch_triple_at_most_once(monkeypatch):
     m = gen_synthetic_multimer(6, seed=29)
-    calls = []
-    fit = graphs.kabsch_align
-    monkeypatch.setattr(graphs, "kabsch_align", lambda *a: calls.append(a) or fit(*a))
+    calls = _counted_fits(monkeypatch)
     scored = enumerate_scores(m)
     assert len(scored) == 6 ** 4
     # one fit per (docked chain, its partner, new chain): N(N-1)(N-2), not one
     # per edge of every tree (6^4 trees x 4 fits = 5 184)
-    assert len(calls) <= 6 * 5 * 4
+    assert sum(len(references) for references, _ in calls) <= 6 * 5 * 4
+
+
+def test_oracle_fits_once_per_docked_chain_per_call(monkeypatch):
+    m = gen_synthetic_multimer(6, seed=29)
+    calls = _counted_fits(monkeypatch)
+    enumerate_scores(m)
+    docked = [_docked_chain(m, references) for references, _ in calls]
+    assert len(docked) == len(set(docked)) <= m.n
+    # target growth: one Oracle over many calls, each fitting only what the
+    # calls before it did not
+    oracle = graphs.Oracle(m)
+    fitted = set()
+    for conditions in ([((0,), ())], [((0, 1), ((0, 1),)), ((0, 2), ((0, 2),))],
+                       [((0, 1, 2), ((0, 1), (1, 2)))]):
+        calls.clear()
+        label_actions(oracle, conditions)
+        docked = [_docked_chain(m, references) for references, _ in calls]
+        assert len(docked) == len(set(docked)) <= m.n
+        pairs = {(id(x), id(y)) for references, mobiles in calls
+                 for x, y in zip(references, mobiles)}
+        assert not pairs & fitted
+        fitted |= pairs
+
+
+def test_stacked_fit_is_each_pair_fit_bit_for_bit():
+    m = gen_synthetic_multimer(5, seed=31)
+    for d in range(m.n):
+        others = [a for a in range(m.n) if a != d]
+        pairs = [(a, w) for a in others for w in others if a != w]
+        references = [m.dimers.get(d, a)[0] for a, _ in pairs]
+        mobiles = [m.dimers.get(d, w)[0] for _, w in pairs]
+        rotations, translations = kabsch_fits(references, mobiles)
+        for k, (x, y) in enumerate(zip(references, mobiles)):
+            single = kabsch_align(x, y)
+            assert rotations[k].tobytes() == single.rotation.tobytes()
+            assert translations[k].tobytes() == single.translation.tobytes()
 
 
 def test_oracle_superposes_each_tree_once(monkeypatch):
@@ -193,6 +243,16 @@ def _collinear_copy(m):
     return lib
 
 
+def _uneven_copies(m):
+    """Chain 1's copy in dimer (1, 2) one residue shorter than its copy in
+    (0, 1): each fit that docks onto chain 1 stacks both."""
+    lib = DimerLibrary()
+    for a, b in m.dimers.pairs():
+        xa, xb = m.dimers.get(a, b)
+        lib.add(a, b, xa[:-1] if (a, b) == (1, 2) else xa, xb)
+    return lib
+
+
 def _short_copies(m):
     """Every dimer copy of chain 1 one residue shorter than its ground truth:
     the copies agree with each other, so only the ground truth tells."""
@@ -207,8 +267,9 @@ BROKEN_DIMERS = [
     (_without_dimer, MissingDimerError),
     (_collinear_copy, DegenerateGeometryError),
     (_short_copies, LengthMismatchError),
+    (_uneven_copies, LengthMismatchError),
 ]
-BROKEN_IDS = ["missing", "collinear", "short"]
+BROKEN_IDS = ["missing", "collinear", "short", "uneven"]
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +285,10 @@ def test_oracle_raises_typed_errors_on_broken_dimers(m3, breaks, error):
     # the path 0-1-2 docks 2 onto 1, placed from dimer (0, 1)
     with pytest.raises(error):
         assembly_correctness(broken.graph_over(((0, 1), (1, 2))), broken)
+    # placement alone has no ground truth to find short copies against
+    if breaks is not _short_copies:
+        with pytest.raises(error):
+            place_chains(((0, 1), (1, 2)), broken.dimers)
 
 
 @pytest.mark.parametrize("breaks,error", BROKEN_DIMERS, ids=BROKEN_IDS)

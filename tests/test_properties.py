@@ -2,7 +2,10 @@
 superposition invariants, and malformed inputs reaching the CLI."""
 
 import dataclasses
+import functools
 import json
+import pathlib
+import tempfile
 from collections import deque
 
 import numpy as np
@@ -586,6 +589,151 @@ def test_mutated_config_exits_cleanly(tmp_path_factory, capsys, raw):
     if code == 2:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "message"}
+
+
+# source and target datasets through the commands that train on them, on a
+# tiny checkpoint and a one-epoch config
+
+DATASET_RUN = {"model": {"hidden_dim": 4, "head_hidden": 4, "dropout": 0.0},
+               "pretrain": {"epochs": 1, "batch_size": 8},
+               "prompt": {"epochs": 1, "batch_size": 16, "mlp_hidden": 4,
+                          "val_fraction": 0.0}}
+
+
+@functools.cache
+def dataset_files():
+    """Bytes of a multimers file of three small complexes, their source and
+    target datasets, a one-epoch run config and a tiny checkpoint to tune."""
+    from stepasm.checkpoint import save_models
+    from stepasm.datagen import (
+        gen_multimer_set,
+        make_source_dataset,
+        make_target_dataset,
+        save_dataset,
+    )
+    from stepasm.nn.model import GINConfig, GINParams, TaskHeadParams
+
+    ms = gen_multimer_set({3: 2, 4: 1}, seed=140)
+    target = [r for i, m in enumerate(ms)
+              for r in make_target_dataset(m, np.random.default_rng([142, i]))]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        save_multimers(root / "multimers.jsonl", ms)
+        save_dataset(root / "source.jsonl", make_source_dataset(ms, 3, seed=141))
+        save_dataset(root / "target.jsonl", target)
+        save_models(root / "model.npz", GINParams.init(GINConfig(hidden_dim=4, dropout=0.0), 143),
+                    TaskHeadParams.init(13, 4, 144))
+        (root / "run.json").write_text(json.dumps(DATASET_RUN))
+        return {p.name: p.read_bytes() for p in root.iterdir()}
+
+
+def _value_paths(value, path=()):
+    """The path of every value nested in ``value``'s lists and mappings."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, inner in items:
+        yield path + (key,)
+        yield from _value_paths(inner, path + (key,))
+
+
+@st.composite
+def dataset_mutations(draw, name):
+    """How to mutate dataset file ``name``: ("bytes", new file bytes) for a
+    byte flipped, a cut or invalid UTF-8 inserted; or ("value", line, path,
+    token), the value at ``path`` of the record on that line, the whole
+    record for an empty path, written as ``token``: deep nesting, a wrong
+    JSON type, NaN or an infinity, or a huge integer."""
+    blob = dataset_files()[name]
+    kind = draw(st.sampled_from(["flip", "truncate", "utf8", "nest", "type", "nonfinite",
+                                 "huge"]))
+    at = draw(st.integers(0, len(blob) - 1))
+    if kind == "flip":
+        return "bytes", blob[:at] + bytes([blob[at] ^ draw(st.integers(1, 255))]) + blob[at + 1:]
+    if kind == "truncate":
+        return "bytes", blob[:at]
+    if kind == "utf8":
+        bad = draw(st.sampled_from([b"\xff", b"\x80", b"\xc3\x28", b"\xed\xa0\x80"]))
+        return "bytes", blob[:at] + bad + blob[at:]
+    if kind == "nest":
+        depth = draw(st.sampled_from([1, 3, 100_000]))
+        token = "[" * depth + draw(st.sampled_from(["0", "{}", ""])) + "]" * depth
+    elif kind == "type":
+        token = json.dumps(draw(JSON_VALUES))
+    elif kind == "nonfinite":
+        token = draw(st.sampled_from(["NaN", "Infinity", "-Infinity"]))
+    else:
+        digits = draw(st.sampled_from([19, 40, 309, 400, 4300, 5000]))
+        token = draw(st.sampled_from(["", "-"])) + "9" * digits
+    lines = blob.decode().splitlines()
+    line = draw(st.integers(0, len(lines) - 1))
+    path = draw(st.sampled_from([()] + list(_value_paths(json.loads(lines[line])))))
+    return "value", line, path, token
+
+
+def _mutated(name, mutation):
+    if mutation[0] == "bytes":
+        return mutation[1]
+    _, line, path, token = mutation
+    lines = dataset_files()[name].decode().splitlines()
+    record = json.loads(lines[line])
+    if path:
+        *parents, key = path
+        owner = record
+        for k in parents:
+            owner = owner[k]
+        owner[key] = MARK
+    else:
+        record = MARK
+    lines[line] = json.dumps(record).replace(json.dumps(MARK), token)
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _train_on_mutated(tmp_path_factory, capsys, name, mutation, command, out):
+    """Run ``command`` on a data directory whose file ``name`` is mutated,
+    prompt-tune from the tiny checkpoint: exit 0 with a finite training log,
+    or exit 2 with one JSON line."""
+    files = dataset_files()
+    work = tmp_path_factory.mktemp("dataset")
+    (work / "multimers.jsonl").write_bytes(files["multimers.jsonl"])
+    (work / name).write_bytes(_mutated(name, mutation))
+    for kept in ("model.npz", "run.json"):
+        (work / kept).write_bytes(files[kept])
+    ckpt = ["--ckpt", str(work / "model.npz")] if command == "prompt-tune" else []
+    code = cli.main([command, *ckpt, "--config", str(work / "run.json"), "--data", str(work),
+                     "--out", str(work / out)])
+    captured = capsys.readouterr()
+    assert code in (0, 2)
+    if code == 2:
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and set(json.loads(lines[0])) == {"error", "message"}
+    else:
+        log = json.loads((work / f"{out}.log.json").read_text())
+        assert all(np.isfinite(epoch["train_mae"]) for epoch in log["epochs"])
+
+
+@given(mutation=dataset_mutations("source.jsonl"))
+@example(mutation=("value", 0, ("y",), "9" * 400))
+@example(mutation=("value", 0, ("edges", 0, 0), "Infinity"))
+@example(mutation=("value", 0, ("n",), "9" * 5000))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_source_dataset_exits_cleanly(tmp_path_factory, capsys, mutation):
+    _train_on_mutated(tmp_path_factory, capsys, "source.jsonl", mutation, "pretrain",
+                      "pretrained.npz")
+
+
+@given(mutation=dataset_mutations("target.jsonl"))
+@example(mutation=("value", 0, ("y",), "-" + "9" * 400))
+@example(mutation=("value", 0, ("v_u",), "-Infinity"))
+@example(mutation=("value", 0, ("cond_nodes", 0), "9" * 5000))
+# a condition over chains 0, 1, 3 with edges (0, 1), (0, 2), whose extension
+# by (3, 2) is a tree
+@example(mutation=("value", 21, ("cond_edges", 1, 1), "2"))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_target_dataset_exits_cleanly(tmp_path_factory, capsys, mutation):
+    _train_on_mutated(tmp_path_factory, capsys, "target.jsonl", mutation, "prompt-tune",
+                      "tuned.npz")
 
 
 def textbook_adam(params, grads, lr):
