@@ -18,7 +18,6 @@ from .tensor import (
     Tensor,
     add,
     as_tensor,
-    block_sum,
     dropout,
     matmul,
     mul,
@@ -227,26 +226,6 @@ class Neighbours:
         self.slots = slots
 
 
-def _node_rows(features, gin):
-    h = as_tensor(features)
-    if h.data.ndim != 2 or h.data.shape[1] != gin.config.input_dim:
-        raise ShapeMismatchError(
-            f"node features must be (n, {gin.config.input_dim}), got {h.data.shape}"
-        )
-    return h
-
-
-def _gin_layers(h, gin, neighbour_sum, rng):
-    """The GIN layers over node rows h; ``neighbour_sum(h)`` sums each row's
-    neighbour rows, and is None when no node has a neighbour."""
-    for eps, mlp in zip(gin.eps, gin.mlps):
-        agg = mul(h, add(eps, 1.0))
-        if neighbour_sum is not None:
-            agg = add(agg, neighbour_sum(h))
-        h = mlp.forward(agg, rng=rng, drop=gin.config.dropout)
-    return h
-
-
 def gin_encode(features, edges, gin, *, rng=None):
     """Per-node embedding matrix for one graph (or a disjoint union of graphs).
 
@@ -255,7 +234,11 @@ def gin_encode(features, edges, gin, *, rng=None):
     Isolated nodes simply get no neighbor term. With an rng the encoder runs
     in training mode, with dropout.
     """
-    h = _node_rows(features, gin)
+    h = as_tensor(features)
+    if h.data.ndim != 2 or h.data.shape[1] != gin.config.input_dim:
+        raise ShapeMismatchError(
+            f"node features must be (n, {gin.config.input_dim}), got {h.data.shape}"
+        )
     num_nodes = h.data.shape[0]
     if isinstance(edges, Neighbours):
         slots = edges.slots
@@ -265,13 +248,12 @@ def gin_encode(features, edges, gin, *, rng=None):
             )
     else:
         slots = neighbour_slots(list(edges), num_nodes)
-    neighbour_sum = None
-    if slots.shape[0]:
-
-        def neighbour_sum(h):
-            return slot_sum(h, slots, slots)
-
-    return _gin_layers(h, gin, neighbour_sum, rng)
+    for eps, mlp in zip(gin.eps, gin.mlps):
+        agg = mul(h, add(eps, 1.0))
+        if slots.shape[0]:
+            agg = add(agg, slot_sum(h, slots, slots))
+        h = mlp.forward(agg, rng=rng, drop=gin.config.dropout)
+    return h
 
 
 def forward_batch(features, edges, segment_ids, num_graphs, gin, head, *, rng=None):
@@ -288,13 +270,19 @@ def forward_blocks(features, width, neighbours, gin, head):
     node r's neighbours are the nodes ``neighbours[r]``, in ascending order.
 
     The same numbers as forward_batch over the explicit edges and segment
-    ids, bit for bit, without an edge list: message passing and the readout
-    are block sums.
+    ids, bit for bit, without an edge list: the slot tables of this layout
+    are index arithmetic, so no table is sorted.
     """
-    h = _gin_layers(_node_rows(features, gin), gin,
-                    lambda h: block_sum(h, width, neighbours), None)
-    pooled = block_sum(h, width, (tuple(range(len(neighbours))),))
-    return head.score(pooled)
+    nodes = len(neighbours)
+    grid = np.arange(nodes * width).reshape(nodes, width)
+    # slot k of node r's rows lists node neighbours[r][k]'s rows
+    slots = np.full((max(map(len, neighbours)), nodes, width), grid.size, dtype=np.intp)
+    for r, listed in enumerate(neighbours):
+        slots[:len(listed), r] = grid[list(listed)]
+    h = gin_encode(features, Neighbours(slots.reshape(-1, grid.size)), gin)
+    # column i of the grid lists graph i's rows in node order
+    back = np.tile(np.arange(width), nodes)[None, :]
+    return head.score(slot_sum(h, grid, back))
 
 
 def readout_regress(features, edges, gin, head):

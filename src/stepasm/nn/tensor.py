@@ -3,7 +3,7 @@
 A Tensor wraps a float64 ndarray and records, per derived value, its parent
 tensors plus a closure that routes the output gradient to them. backward()
 walks the tape in reverse topological order. Only the operations the models
-need are provided, fourteen of them; broadcasting is limited to what those
+need are provided, thirteen of them; broadcasting is limited to what those
 ops use:
 
 - arithmetic: add, sub, mul (an operand may be a python scalar), matmul;
@@ -11,8 +11,7 @@ ops use:
   mode, that is when its rng is None;
 - rows: gather_rows, concat_rows, and slot_sum, which sums the rows an
   index table lists per output row: each node's neighbours (message passing)
-  or each graph's nodes (the sum readout); block_sum does both jobs for
-  graphs that all share one shape, without a table;
+  or each graph's nodes (the sum readout);
 - losses: mae_loss, bce_loss, listwise_loss.
 """
 
@@ -256,47 +255,6 @@ def slot_sum(a, slots, back):
         _accum(a, _slot_sums(g, back))
 
     return _make(data, (a,), backward)
-
-
-def _block_sums(blocks, pattern):
-    """Stacked output blocks: block j is the sum of the input blocks
-    pattern[j], added in order from 0.0, so a -0.0 comes out +0.0 as in
-    np.add.at into zeros; a block with no input is zero."""
-    out = np.zeros((len(pattern),) + blocks.shape[1:])
-    for o, ks in zip(out, pattern):
-        if ks:
-            np.add(blocks[ks[0]], 0.0, out=o)
-        for k in ks[1:]:
-            np.add(o, blocks[k], out=o)
-    return out
-
-
-def block_sum(a, width, pattern):
-    """Sums of row blocks: a is cut into blocks of ``width`` rows, and output
-    block j sums the input blocks listed in pattern[j], in that order.
-
-    a must hold exactly the blocks 0 to the largest index in pattern. For
-    ``width`` graphs of one shape stored node-major (row i of node r at
-    r * width + i), it is message passing when pattern[r] lists the
-    neighbours of node r, and the sum readout when its one entry lists every
-    node. The backward is the transposed block sum.
-    """
-    a = as_tensor(a)
-    listed = [k for ks in pattern for k in ks]
-    n_in = 1 + max(listed)
-    rest = a.data.shape[1:]
-    if min(listed) < 0 or width < 0 or a.data.shape[0] != n_in * width:
-        raise ShapeMismatchError(
-            f"block sum over {n_in} blocks of {width} rows got {a.data.shape[0]} rows"
-        )
-    transposed = tuple(tuple(j for j, ks in enumerate(pattern) if k in ks) for k in range(n_in))
-    data = _block_sums(a.data.reshape((n_in, width) + rest), pattern)
-
-    def backward(g):
-        ga = _block_sums(g.reshape((len(pattern), width) + rest), transposed)
-        _accum(a, ga.reshape(a.data.shape))
-
-    return _make(data.reshape((len(pattern) * width,) + rest), (a,), backward)
 
 
 def dropout(a, rate, rng):

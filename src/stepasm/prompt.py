@@ -344,9 +344,9 @@ def score_paths(h_d, h_x, h_y, h_u, gin, head):
     """Stage 2: (B, 1) eval-mode probabilities of B prompt paths d - x - y - u.
 
     Each argument holds one row per path. The B paths go through the frozen
-    encoder as one node-major stack, row i of role r at r * B + i, so that
-    message passing and the sum readout are block sums over the fixed path
-    (forward_blocks): no edge list and no scatter. The result is bit-equal to
+    encoder as one node-major stack, row i of role r at r * B + i, whose
+    neighbour and readout tables are index arithmetic over the fixed path
+    (forward_blocks): no edge list to sort. The result is bit-equal to
     forward_batch over the B paths' disjoint union.
     """
     path_feats = concat_rows([h_d, h_x, h_y, h_u])
@@ -440,7 +440,7 @@ def pipeline_forward(cond_graph, v_d, v_u, u_feature, gin, head, prompt):
 
     The reference that batched scoring is checked against: its stage 2 runs
     the prompt graph as a general graph (forward_batch over its edges), not
-    through the block sums of score_paths.
+    through the index-arithmetic tables of score_paths.
     """
     if v_d not in cond_graph.nodes:
         raise ValueError(f"docked node {v_d} not in the condition graph")

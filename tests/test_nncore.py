@@ -13,6 +13,7 @@ from stepasm.nn.model import (
     TaskHeadParams,
     flatten_named,
     forward_batch,
+    forward_blocks,
     grad_vector,
     gin_encode,
     load_vector,
@@ -29,7 +30,6 @@ from stepasm.nn.tensor import (
     add,
     as_tensor,
     bce_loss,
-    block_sum,
     concat_rows,
     dropout,
     gather_rows,
@@ -42,7 +42,7 @@ from stepasm.nn.tensor import (
     slot_sum,
     sub,
 )
-from stepasm.prompt import PATH_NEIGHBOURS, PROMPT_EDGES
+from stepasm.prompt import PATH_NEIGHBOURS
 from stepasm.training import TrainConfig, fit, group_split
 
 
@@ -73,8 +73,8 @@ def smooth_scalar(out):
 
 @pytest.mark.parametrize("op", ["add", "sub", "mul", "matmul", "relu", "sigmoid",
                                 "add_scalar", "mul_scalar", "gather", "concat",
-                                "message_passing", "segment", "block_neighbours",
-                                "block_readout", "abs", "mean", "mae", "listwise"])
+                                "message_passing", "segment", "abs", "mean", "mae",
+                                "listwise"])
 def test_op_gradients_match_finite_differences(op):
     rng = np.random.default_rng(hash(op) % 2**32)
     a = Tensor(rng.normal(size=(4, 3)) + 0.3, requires_grad=True)
@@ -112,11 +112,6 @@ def test_op_gradients_match_finite_differences(op):
             out = slot_sum(a, slots, slots)
         elif op == "segment":
             out = slot_sum(a, *readout_slots([0, 1, 0, 1], 2))
-        elif op == "block_neighbours":
-            # two 4-node paths stored node-major, two rows per node
-            out = block_sum(concat_rows([a, b]), 2, PATH_NEIGHBOURS)
-        elif op == "block_readout":
-            out = block_sum(concat_rows([a, b]), 2, ((0, 1, 2, 3),))
         elif op == "abs":
             # every difference negative: the absolute value's flipped branch
             return mae_loss(a, above_a)
@@ -272,30 +267,6 @@ def assert_same_bits(got, want):
         assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
 
 
-@pytest.mark.parametrize("width", [1, 2, 7, 128])
-def test_block_sum_is_the_scatter_bit_for_bit(width):
-    # over B paths stored node-major, message passing and the readout as
-    # block sums must give the bits of np.add.at into zeros, signed zeros
-    # included: a lone -0.0 neighbour comes out +0.0
-    rng = np.random.default_rng(width)
-    data = with_signed_zeros(rng, (4 * width, 3))
-    seed = with_signed_zeros(rng, (4 * width, 3))
-    src, dst = directed_edges([(r * width + i, s * width + i)
-                               for r, s in PROMPT_EDGES for i in range(width)])
-    rows = np.arange(4 * width)
-    segments = np.tile(np.arange(width), 4)
-    cases = [
-        (lambda a: block_sum(a, width, PATH_NEIGHBOURS), (src, dst, 4 * width), seed),
-        (lambda a: block_sum(a, width, ((0, 1, 2, 3),)), (rows, segments, width),
-         seed[:width]),
-    ]
-    for blocks, edges, g in cases:
-        a = Tensor(data.copy(), requires_grad=True)
-        out = blocks(a)
-        out.backward(g)
-        assert_same_bits((out.data, a.grad), scatter_reference(data, *edges, g))
-
-
 @pytest.mark.parametrize("n, edges", SLOT_GRAPHS)
 def test_slot_sum_is_the_scatter_bit_for_bit(n, edges):
     rng = np.random.default_rng(n + len(edges))
@@ -380,12 +351,13 @@ def test_a_pretraining_step_makes_no_scatter_call(monkeypatch):
     assert len(log) == 2
 
 
-def test_block_sum_rejects_rows_that_do_not_fill_the_blocks():
-    a = Tensor(np.ones((7, 3)))
-    with pytest.raises(ShapeMismatchError):
-        block_sum(a, 2, PATH_NEIGHBOURS)
-    with pytest.raises(ShapeMismatchError):
-        block_sum(Tensor(np.ones((8, 3))), 2, ((0, -1),))
+def test_forward_blocks_rejects_rows_that_do_not_fill_the_blocks():
+    gin = GINParams.init(GINConfig(input_dim=3, hidden_dim=4), 0)
+    head = TaskHeadParams.init(3, 4, 1)
+    assert forward_blocks(np.ones((8, 3)), 2, PATH_NEIGHBOURS, gin, head).shape == (2, 1)
+    for rows in (7, 9, 0):
+        with pytest.raises(ShapeMismatchError):
+            forward_blocks(np.ones((rows, 3)), 2, PATH_NEIGHBOURS, gin, head)
 
 
 @pytest.mark.parametrize("edge", [(-1, 0), (0, -3), (0, 3), (5, 1)])

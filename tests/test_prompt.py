@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from stepasm import prompt as prompt_module
 from stepasm.datagen import KEEP_THRESHOLD, gen_synthetic_multimer, make_target_dataset
 from stepasm.errors import (
     EmptyDatasetError,
     NodeCollisionError,
     ShapeMismatchError,
 )
-from stepasm.nn import model as model_module
 from stepasm.nn.model import (
     GINConfig,
     GINParams,
@@ -268,8 +268,9 @@ def scatter_paths(h_d, h_x, h_y, h_u, gin, head):
     return forward_batch(feats, edges, np.tile(np.arange(b), 4), b, gin, head)
 
 
-# stage 2 is frozen and has only an eval mode, which the ids name
-@pytest.mark.parametrize("b", [1, 2, 7, 128], ids=lambda b: f"eval-{b}")
+# stage 2 is frozen and has only an eval mode, which the ids name; 870 paths
+# are the first greedy step at N = 30
+@pytest.mark.parametrize("b", [1, 2, 7, 128, 870], ids=lambda b: f"eval-{b}")
 def test_score_paths_is_the_scatter_bit_for_bit(b):
     # compared as uint64, so a +0.0 where the scatter gives -0.0 fails too
     gin = GINParams.init(GINConfig(dropout=0.2), 46)
@@ -295,8 +296,9 @@ def test_score_paths_is_the_scatter_bit_for_bit(b):
 
 
 def test_single_item_reference_runs_without_block_sums(setup, monkeypatch):
-    # pipeline_forward stays on the general scatter, so the benchmark's check
-    # of greedy probabilities against it does not rest on the block sums
+    # pipeline_forward builds its tables from the prompt graph's edge list,
+    # so the benchmark's check of greedy probabilities against it does not
+    # rest on the index-arithmetic tables of score_paths
     m, _, instances, gin, head, _ = setup
     prompt = _fresh_prompt()
     inst = instances[0]
@@ -305,12 +307,12 @@ def test_single_item_reference_runs_without_block_sums(setup, monkeypatch):
     want = pipeline_forward(*args)
 
     def refuse(*_args, **_kwargs):
-        raise AssertionError("block_sum called")
+        raise AssertionError("forward_blocks called")
 
-    monkeypatch.setattr(model_module, "block_sum", refuse)
+    monkeypatch.setattr(prompt_module, "forward_blocks", refuse)
     assert pipeline_forward(*args) == want
     h = Tensor(np.full((1, DIM), 0.3))
-    with pytest.raises(AssertionError, match="block_sum called"):
+    with pytest.raises(AssertionError, match="forward_blocks called"):
         score_paths(h, h, h, h, gin, head)
 
 
